@@ -165,53 +165,7 @@ func BenchmarkSNNInferenceBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkSNNTrainStep measures one BPTT forward+backward pass.
-func BenchmarkSNNTrainStep(b *testing.B) {
-	r := rng.New(2)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	img := dataset.RenderDigit(5, dcfg, r)
-	frames := encoding.Rate{}.Encode(img, cfg.Steps, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := net.Forward(frames, true)
-		_, grad := snn.SoftmaxCrossEntropy(logits, 5)
-		net.Backward(grad)
-		net.ZeroGrads()
-	}
-}
-
-// BenchmarkSNNTrainStepBatch measures one batched BPTT pass over a
-// 16-sample minibatch (the snn.Train hot loop), reporting per-sample
-// latency.
-func BenchmarkSNNTrainStepBatch(b *testing.B) {
-	const batch = 16
-	r := rng.New(2)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	samples := make([][]*tensor.Tensor, batch)
-	labels := make([]int, batch)
-	for i := range samples {
-		labels[i] = i % 10
-		img := dataset.RenderDigit(labels[i], dcfg, r)
-		samples[i] = encoding.Rate{}.Encode(img, cfg.Steps, r)
-	}
-	frames := snn.StackFrames(samples, cfg.Steps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := net.ForwardBatch(frames, true)
-		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
-		net.BackwardBatch(grad)
-		net.ZeroGrads()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-}
-
-// trainStepFixture builds the BenchmarkTrainStep/-Fresh workload: the
+// trainStepFixture builds the BenchmarkTrainStep workload: the
 // lite convolutional MNIST topology at T=8 with a 16-sample rate-coded
 // minibatch, the snn.Train hot loop's shape.
 func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
@@ -234,23 +188,23 @@ func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
 // minibatch cycle (zeroing, frame stacking, training forward, loss,
 // BPTT, optimizer step — gradient clipping is off here, as in the
 // default TrainOptions; the snn property test covers the clipped
-// cycle) against a TrainScratch. Runs in deterministic serial mode so
+// cycle) against one arena. Runs in deterministic serial mode so
 // allocs/op stays 0 — the pool's parallel dispatch allocates job
 // descriptors; CI gates this benchmark (and BenchmarkPredict) at 0
-// allocs/op. Compare against BenchmarkTrainStepFresh for what the
-// arena eliminates.
+// allocs/op.
 func BenchmarkTrainStep(b *testing.B) {
 	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
 	net, samples, labels := trainStepFixture()
-	ts := net.AcquireTrainScratch()
-	defer net.ReleaseTrain(ts)
+	s := net.AcquireScratch()
+	defer net.Release(s)
+	params, grads := net.Params(), net.Grads()
 	opt := snn.NewAdam(2e-3)
 	scale := 1 / float32(len(samples))
 	step := func() {
-		ts.ZeroGrads()
-		net.TrainStepScratch(samples, labels, ts)
-		opt.Step(ts.Params(), ts.Grads(), scale)
+		net.ZeroGrads()
+		net.TrainStepScratch(samples, labels, s)
+		opt.Step(params, grads, scale)
 	}
 	step() // warm the arena and the optimizer state
 	b.ReportAllocs()
@@ -260,33 +214,6 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	// Stop before reporting: ReportMetric's bookkeeping must not count
 	// against the 0 allocs/op gate at -benchtime=1x.
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
-}
-
-// BenchmarkTrainStepFresh is the pre-arena baseline: the same minibatch
-// cycle through the allocating StackFrames/ForwardBatch/BackwardBatch
-// path, also in serial mode so the two benchmarks differ only in arena
-// use.
-func BenchmarkTrainStepFresh(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	net, samples, labels := trainStepFixture()
-	opt := snn.NewAdam(2e-3)
-	scale := 1 / float32(len(samples))
-	step := func() {
-		net.ZeroGrads()
-		logits := net.ForwardBatch(snn.StackFrames(samples, net.Cfg.Steps), true)
-		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
-		net.BackwardBatch(grad)
-		opt.Step(net.Params(), net.Grads(), scale)
-	}
-	step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
 }
@@ -331,8 +258,7 @@ func BenchmarkPGDCraft(b *testing.B) {
 
 // BenchmarkPredict measures the steady-state single-sample inference
 // hot path through the arena (Predict acquires/releases a pooled
-// Scratch internally). Compare allocs/op against BenchmarkPredictFresh
-// to see what the arena eliminates.
+// Scratch internally).
 func BenchmarkPredict(b *testing.B) {
 	r := rng.New(1)
 	cfg := snn.DefaultConfig(0.5, 8)
@@ -376,22 +302,6 @@ func BenchmarkPredictInt8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Predict(frames)
-	}
-}
-
-// BenchmarkPredictFresh is the pre-arena baseline: the same inference
-// through the allocating Forward path.
-func BenchmarkPredictFresh(b *testing.B) {
-	r := rng.New(1)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	img := dataset.RenderDigit(3, dcfg, r)
-	frames := encoding.Rate{}.Encode(img, cfg.Steps, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.Forward(frames, false).Argmax()
 	}
 }
 

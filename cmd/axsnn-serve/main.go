@@ -10,7 +10,7 @@
 //	axsnn-serve [-addr :7360] [-sessions 16] [-workers 0] [-pool 0]
 //	            [-checkpoint model.gob] [-window 600] [-steps 8]
 //	            [-batch 4] [-chunk 4096] [-reorder 1024] [-qt -1]
-//	            [-perwindow] [-train 33] [-epochs 4] [-seed N]
+//	            [-train 33] [-epochs 4] [-seed N]
 //	            [-metrics :7361] [-idle-timeout 2m] [-write-timeout 30s]
 //	            [-queue-timeout 0] [-result-window 256]
 //	            [-shared-batch] [-max-batch 16] [-tick-interval 0]
@@ -20,8 +20,8 @@
 // synthetic 32×32 DVS streams at startup (the same quick model
 // axsnn-stream builds); with -checkpoint the weights are loaded into
 // that architecture instead, and SIGHUP re-reads the file for a live
-// hot-swap. -qt >= 0 enables AQF denoising — cross-window incremental
-// by default, the lossy per-window form with -perwindow.
+// hot-swap. -qt >= 0 enables the cross-window incremental AQF
+// denoiser.
 //
 // -metrics starts an HTTP observability listener serving the counter
 // registry on /metrics — JSON by default, Prometheus text exposition
@@ -127,7 +127,6 @@ func main() {
 	chunk := flag.Int("chunk", 4096, "reader chunk size (events)")
 	reorder := flag.Int("reorder", 1024, "reorder-buffer capacity (0 = require sorted)")
 	qt := flag.Float64("qt", -1, "AQF quantization step in seconds; < 0 disables filtering")
-	perWindow := flag.Bool("perwindow", false, "use the lossy per-window AQF instead of the cross-window incremental form")
 	trainN := flag.Int("train", 33, "synthetic training streams when no -checkpoint is given")
 	epochs := flag.Int("epochs", 4, "training epochs for the synthetic model")
 	loadMode := flag.Bool("load", false, "run as load generator against -addr")
@@ -208,11 +207,7 @@ func main() {
 	}
 	if *qt >= 0 {
 		p := defense.DefaultAQFParams(*qt)
-		if *perWindow {
-			opts.Filter = defense.AQFFilter{Params: p}
-		} else {
-			opts.AQF = &p
-		}
+		opts.AQF = &p
 	}
 	srv, err := serve.NewServer(net_, serve.ServerOptions{
 		Pipeline: opts, MaxSessions: *sessions, PoolSize: *pool,

@@ -93,8 +93,8 @@ func TestMaskActuallySilencesSynapses(t *testing.T) {
 		img.Data[i] = r.Float32()
 	}
 	frames := encoding.Direct{}.Encode(img, net.Cfg.Steps, nil)
-	a := net.Forward(frames, false)
-	b := ax.Forward(frames, false)
+	a := net.Logits(frames)
+	b := ax.Logits(frames)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {

@@ -193,9 +193,9 @@ func TestFrameAttackDistortsLogits(t *testing.T) {
 	n := 10
 	for i := 0; i < n; i++ {
 		s := set.Samples[i]
-		clean := net.Forward(s.Stream.Voxelize(net.Cfg.Steps), false)
+		clean := net.Logits(s.Stream.Voxelize(net.Cfg.Steps))
 		adv := atk.Perturb(net, s.Stream, s.Label)
-		dirty := net.Forward(adv.Voxelize(net.Cfg.Steps), false)
+		dirty := net.Logits(adv.Voxelize(net.Cfg.Steps))
 		for j := range clean.Data {
 			distortion += math.Abs(float64(dirty.Data[j] - clean.Data[j]))
 			scale += math.Abs(float64(clean.Data[j]))

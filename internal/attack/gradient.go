@@ -126,11 +126,11 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // encoding RNG is split per sample up front — but the stream differs
 // from calling Perturb sample-by-sample with a shared RNG.
 //
-// The backward pass runs against a training arena on one weight-sharing
+// The backward pass runs against one arena on one weight-sharing
 // evaluation clone for the whole crafting session: frame stacking, the
 // forward caches and the BPTT buffers are all reused across iterations,
 // so the inner loop allocates only the encoded frames. Gradients are
-// bit-identical to the allocating InputGradientBatch chain.
+// bit-identical to summing InputGradientBatch's per-step gradients.
 func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
 	batch := len(imgs)
 	if batch == 0 {
@@ -147,13 +147,6 @@ func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 		return advs
 	}
-	if !model.Batchable() {
-		for i, img := range imgs {
-			advs[i] = g.Perturb(model, img, labels[i], rngs[i])
-		}
-		return advs
-	}
-
 	alpha := g.Alpha
 	if alpha == 0 {
 		if g.RandomStart {
@@ -177,15 +170,12 @@ func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 	}
 
-	// One evaluation clone + training arena serve every iteration:
-	// dropout stays disabled (clones carry no RNG) and the caller's
-	// network keeps clean state, exactly like InputGradientBatch.
+	// One evaluation clone + arena serve every iteration: dropout stays
+	// disabled (clones carry no RNG) and the caller's network keeps
+	// clean state, exactly like InputGradientBatch.
 	clone := model.CloneArchitecture()
-	var ts *snn.TrainScratch
-	if clone.TrainArenaCapable() {
-		ts = clone.AcquireTrainScratch()
-		defer clone.ReleaseTrain(ts)
-	}
+	s := clone.AcquireScratch()
+	defer clone.Release(s)
 
 	lossLabels := make([]int, batch)
 	samples := make([][]*tensor.Tensor, batch)
@@ -204,13 +194,7 @@ func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, label
 		} else {
 			copy(lossLabels, labels)
 		}
-		var grad *tensor.Tensor // (B, image shape...)
-		if ts != nil {
-			grad = clone.InputGradSumScratch(ts.StackFramesInto(samples), lossLabels, ts)
-		} else {
-			frames := snn.StackFrames(samples, model.Cfg.Steps)
-			grad = encoding.SumFrameGradients(snn.InputGradientBatch(model, frames, lossLabels))
-		}
+		grad := clone.InputGradSumScratch(samples, lossLabels, s) // (B, image shape...)
 		for i, adv := range advs {
 			gi := tensor.FromSlice(grad.Data[i*per:(i+1)*per], adv.Shape...)
 			gi.Sign()

@@ -2,43 +2,17 @@ package defense
 
 import "repro/internal/dvs"
 
-// Filter is the single-stream event-denoiser interface shared by the
-// two defenses: AQF (adapted by AQFFilter) and the background-activity
-// baseline. The streaming pipeline (internal/stream) can apply a
-// Filter to every window of the event flow, each window viewed as a
-// standalone stream starting at t=0: state never outlives a window, so
-// memory stays O(window) however long the recording runs.
-//
-// This per-window form is a lossy approximation of the whole-stream
-// filter, and deliberately so — know what it trades away before
-// choosing it. An event near a window's start cannot draw support from
-// the previous window, so AQF's "first T2 ms pass unconditionally"
-// rule applies per *window*, not per recording: every window opens
-// with a T2 ms grace period in which all events — including injected
-// adversarial ones — pass unfiltered, and hot-pixel runs restart at
-// every boundary, so a flooding pixel is re-granted T1 windows of
-// output each time. With the paper's T2=50 ms and a 100 ms serving
-// window, half of every window is unfiltered. That is why
-// stream.Pipeline's default AQF mode is the cross-window
-// IncrementalAQF, which carries correlation state and hot-pixel runs
-// across boundaries and matches the whole-stream AQF bit for bit; the
-// per-window form stays available behind stream.Options.Filter for
-// workloads that want strict window isolation (e.g. windows from
-// unrelated recordings).
+// Filter is the single-stream event-denoiser interface of the
+// whole-stream defenses: the background-activity baseline implements
+// it, and AQF runs through the AQF function directly. Windowed serving
+// does not filter per window — a window viewed as a standalone stream
+// would reopen AQF's T2 ms grace period at every boundary, passing
+// injected events unfiltered — but feeds the flow through the
+// cross-window IncrementalAQF (stream.Options.AQF), which matches the
+// whole-stream AQF bit for bit.
 type Filter interface {
 	// Filter returns a filtered copy; the input is not modified.
 	Filter(s *dvs.Stream) *dvs.Stream
 }
 
-// AQFFilter adapts Algorithm 2 to the Filter interface.
-type AQFFilter struct {
-	Params AQFParams
-}
-
-// Filter runs AQF with the adapter's parameters.
-func (f AQFFilter) Filter(s *dvs.Stream) *dvs.Stream { return AQF(s, f.Params) }
-
-var (
-	_ Filter = AQFFilter{}
-	_ Filter = (*BackgroundActivityFilter)(nil)
-)
+var _ Filter = (*BackgroundActivityFilter)(nil)

@@ -24,7 +24,7 @@ import (
 // axis (pure-Go BPTT over 80 steps × 63 grid cells is the one thing we
 // cannot afford at full size; the divisor is recorded in every result).
 // Every per-cell fit and every PGD/BIM transfer-set crafting pass runs
-// against the snn training arena (snn.TrainScratch), so the grids no
+// against the snn arena (snn.Scratch), so the grids no
 // longer churn the allocator on their BPTT hot loops.
 type Scale int
 

@@ -144,3 +144,38 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		t.Fatalf("results_buffered = %d after drain, want 0", snap.ResultsBuffered)
 	}
 }
+
+// TestServeWindowsServedAtDone pins the serve-side publication order:
+// the moment a client holds its done frame, windows_served already
+// counts every result it received — on the shared scheduler and on a
+// private pipeline — without waiting for the server to wind the session
+// down.
+func TestServeWindowsServedAtDone(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(1)
+	master := testNet(4, 63)
+	o := stream.Options{WindowMS: 40, Steps: 4, Batch: 2, ChunkEvents: 64}
+	data := testRecording(t, 2, 300, 31)
+	for _, shared := range []bool{true, false} {
+		srv, err := NewServer(master, ServerOptions{Pipeline: o, MaxSessions: 1, PoolSize: 1, SharedBatch: Bool(shared)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, done := startSession(srv)
+		var received int64
+		for rec := 0; rec < 3; rec++ {
+			if _, err := cl.Stream(bytes.NewReader(data), func(stream.Result) error {
+				received++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.MetricsSnapshot().WindowsServed; got != received {
+				t.Fatalf("shared=%v recording %d: windows_served = %d at the client's done, client received %d",
+					shared, rec, got, received)
+			}
+		}
+		cl.Close()
+		<-done
+	}
+}

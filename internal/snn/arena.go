@@ -2,31 +2,35 @@ package snn
 
 import "repro/internal/tensor"
 
-// The inference arena. Every pre-arena Predict allocated ~250 KB of
-// LIF/pool/GEMM scratch per sample (ROADMAP open item 3): each time step
-// built fresh output tensors for every layer, and each sample re-derived
-// the transposed weight panels. A Scratch owns all of those buffers,
-// keyed by (layer index, slot), so steady-state inference — the
-// event-domain evaluation loops, the attack inner loops, batched
-// accuracy sweeps — allocates no tensors at all once shapes have been
-// seen.
+// The arena. Every pass through a network — inference, a training
+// minibatch, an attack's input-gradient BPTT — draws its working memory
+// from one Scratch: layer outputs, conv lowering panels, GEMM results,
+// mask-applied and transposed weight panels, LIF membranes and, when
+// training, the per-step caches the reverse pass reads back (LIF
+// pre-reset potentials, im2col panels, dense inputs, pool argmax maps).
+// Buffers are keyed by (layer index, slot), so once shapes have been
+// seen a pass allocates nothing at all.
+//
+// Layout: per-pass buffers live at their slot number; per-step caches
+// are a ring of Cfg.Steps buffers per (layer, slot), addressed by
+// folding the step into the slot space (at). Only training passes
+// write the rings — an inference pass touches one buffer per slot —
+// and because caches are indexed by step rather than pushed on stacks,
+// the backward pass can skip work it does not need: layers at or below
+// the lowest parameter layer compute no input gradients unless the
+// caller asked for them (attacks do, Train does not).
 //
 // Lifecycle: Network.AcquireScratch hands out an arena (recycled from a
-// per-network free list), Predict/PredictBatch thread it through every
-// layer, Network.Release returns it. The helpers do this implicitly, so
-// callers keep the old one-line API; long evaluation loops can also
-// acquire once and run many predictions against it. A Scratch belongs to
-// one network (buffer shapes are keyed by layer position) and must not
-// be shared between goroutines; concurrent evaluation uses
-// CloneArchitecture clones, each with its own arena, exactly like the
-// training paths.
+// per-network free list), Network.Release returns it. Predict,
+// PredictBatch, Train, InputGradient and the other helpers do this
+// implicitly; long loops can acquire once and run many passes against
+// one arena (TrainStepScratch, InputGradSumScratch). A Scratch belongs
+// to one network (buffer shapes are keyed by layer position) and must
+// not be shared between goroutines; concurrent work runs on
+// CloneArchitecture clones, each with its own arenas.
 //
-// Correctness: the arena forward runs the same kernels in the same
-// order as the allocating forward, so logits are bit-identical (pinned
-// by the property tests in arena_test.go). Weight-derived panels (mask
-// application, transposition) are re-derived once per forward pass —
-// the same cadence Reset gave the allocating path — so weight mutation
-// between passes stays safe.
+// Weight-derived panels (mask application, transposition) are derived
+// once per pass, so weight updates between passes are always seen.
 
 // slotKey addresses one reusable buffer: the owning layer's position in
 // the network and a layer-chosen slot number.
@@ -36,13 +40,11 @@ type slotKey struct {
 
 // slot numbers shared by the layer implementations. Buffers and views
 // may not collide on (layer, slot), so each layer type draws from this
-// single enumeration. The training arena folds the time step into the
-// slot (see trainSlotStride in train_arena.go), so the enumeration must
-// stay below that stride.
+// single enumeration, which must stay below slotStride.
 const (
 	slotOut      = iota // layer output buffer
 	slotState           // persistent per-pass state (LIF membrane)
-	slotLow             // conv lowering panel
+	slotLow             // conv lowering panel (per step when training)
 	slotGemm            // GEMM result panel
 	slotEffW            // mask-applied weights, once per pass
 	slotWT              // transposed weights, once per pass
@@ -58,15 +60,24 @@ const (
 	slotDW              // dense per-step weight-gradient panel (training)
 	slotMask            // dropout mask, once per pass (training)
 	slotArg             // maxpool argmax indices, per step (training)
-	slotDims            // pool input dims, per pass (training)
+	slotDims            // layer input dims (flatten, pools)
 	slotG2B             // conv gradient de-interleave panel (training)
 	slotDCols           // conv column-gradient panel (training)
 	slotGradStep        // per-step input-gradient copy (network-level)
 	slotGradSum         // summed input gradient (network-level)
 	slotLossGrad        // dL/dlogits buffer (network-level)
 	slotIdx             // nonzero-index scratch for col-skip GEMMs
-	slotCount           // number of slots; must stay <= trainSlotStride
+	slotCount           // number of slots; must stay <= slotStride
 )
+
+// slotStride folds the time step into the slot space: per-step slot s
+// at step t lives at s + slotStride·(t+1), per-pass slots at s itself.
+const slotStride = 32
+
+var _ [slotStride - slotCount]struct{} // slots must fit the stride
+
+// at maps (slot, step) to the folded slot index of a per-step cache.
+func at(slot, t int) int { return slot + slotStride*(t+1) }
 
 // netLayer is the pseudo layer index for network-level buffers.
 const netLayer = -1
@@ -78,22 +89,29 @@ type scratchEntry struct {
 	// view entries borrow caller data; Release drops the reference.
 	view bool
 	// gen is the pass generation that last refreshed a once-per-pass
-	// entry (effective/transposed weights).
+	// entry (effective/transposed weights, dropout mask, LIF carry).
 	gen uint64
 }
 
-// Scratch is a per-network arena of reusable inference buffers.
+// Scratch is a per-network arena of reusable pass buffers.
 type Scratch struct {
-	m   map[slotKey]*scratchEntry
-	gen uint64
+	m    map[slotKey]*scratchEntry
+	ints map[slotKey][]int
+	gen  uint64
+	// one is the reusable single-sample batch Predict, InputGradient
+	// and Calibrate run through.
+	one [1][]*tensor.Tensor
 }
 
 func newScratch() *Scratch {
-	return &Scratch{m: make(map[slotKey]*scratchEntry)} //axsnn:allow-alloc builds the arena once; recycled via the free list thereafter
+	return &Scratch{ //axsnn:allow-alloc builds the arena once; recycled via the free list thereafter
+		m:    make(map[slotKey]*scratchEntry),
+		ints: make(map[slotKey][]int),
+	}
 }
 
-// begin opens a new forward pass: persistent state buffers (membranes)
-// are cleared and once-per-pass entries invalidated.
+// begin opens a new pass: persistent state buffers (membranes) are
+// cleared and once-per-pass entries invalidated.
 func (s *Scratch) begin() {
 	s.gen++
 	for _, e := range s.m {
@@ -128,7 +146,7 @@ func (s *Scratch) sized(layer, slot, n int) *scratchEntry {
 	case len(e.t.Data) != n:
 		// Reslicing can expose stale values a larger pass left beyond
 		// the previous length. Working buffers are overwritten by
-		// contract (see buf1..4); state buffers must open the pass at
+		// contract (see buf2..4); state buffers must open the pass at
 		// zero, and begin() only zeroed the previous length.
 		e.t.Data = e.t.Data[:n]
 		if e.state {
@@ -138,60 +156,29 @@ func (s *Scratch) sized(layer, slot, n int) *scratchEntry {
 	return e
 }
 
-// setShape1..4 reshape a tensor header in place, only allocating when
-// the rank changes (which a given slot does at most once).
-func setShape1(t *tensor.Tensor, a int) {
-	if len(t.Shape) != 1 {
-		t.Shape = make([]int, 1)
+// setShape reshapes a tensor header in place, only allocating when the
+// rank changes (which a given slot does at most once).
+func setShape(t *tensor.Tensor, rank int) []int {
+	if len(t.Shape) != rank {
+		t.Shape = make([]int, rank) //axsnn:allow-alloc rank changes at most once per slot
 	}
-	t.Shape[0] = a
+	return t.Shape
 }
 
-func setShape2(t *tensor.Tensor, a, b int) {
-	if len(t.Shape) != 2 {
-		t.Shape = make([]int, 2) //axsnn:allow-alloc rank changes at most once per slot
-	}
-	t.Shape[0], t.Shape[1] = a, b
-}
-
-func setShape3(t *tensor.Tensor, a, b, c int) {
-	if len(t.Shape) != 3 {
-		t.Shape = make([]int, 3) //axsnn:allow-alloc rank changes at most once per slot
-	}
-	t.Shape[0], t.Shape[1], t.Shape[2] = a, b, c
-}
-
-func setShape4(t *tensor.Tensor, a, b, c, d int) {
-	if len(t.Shape) != 4 {
-		t.Shape = make([]int, 4) //axsnn:allow-alloc rank changes at most once per slot
-	}
-	t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3] = a, b, c, d
-}
-
-// buf1..buf4 return a reusable buffer of the given shape. Contents are
+// buf2..buf4 return a reusable buffer of the given shape. Contents are
 // unspecified; callers overwrite every element.
-func (s *Scratch) buf1(layer, slot, a int) *tensor.Tensor {
-	e := s.sized(layer, slot, a)
-	setShape1(e.t, a)
-	return e.t
-}
-
 func (s *Scratch) buf2(layer, slot, a, b int) *tensor.Tensor {
-	e := s.sized(layer, slot, a*b)
-	setShape2(e.t, a, b)
-	return e.t
-}
-
-func (s *Scratch) buf3(layer, slot, a, b, c int) *tensor.Tensor {
-	e := s.sized(layer, slot, a*b*c)
-	setShape3(e.t, a, b, c)
-	return e.t
+	t := s.sized(layer, slot, a*b).t
+	sh := setShape(t, 2)
+	sh[0], sh[1] = a, b
+	return t
 }
 
 func (s *Scratch) buf4(layer, slot, a, b, c, d int) *tensor.Tensor {
-	e := s.sized(layer, slot, a*b*c*d)
-	setShape4(e.t, a, b, c, d)
-	return e.t
+	t := s.sized(layer, slot, a*b*c*d).t
+	sh := setShape(t, 4)
+	sh[0], sh[1], sh[2], sh[3] = a, b, c, d
+	return t
 }
 
 // bufShape is buf for an existing shape slice (e.g. mirroring an input).
@@ -200,12 +187,8 @@ func (s *Scratch) bufShape(layer, slot int, shape []int) *tensor.Tensor {
 	for _, d := range shape {
 		n *= d
 	}
-	e := s.sized(layer, slot, n)
-	t := e.t
-	if len(t.Shape) != len(shape) {
-		t.Shape = make([]int, len(shape)) //axsnn:allow-alloc rank changes at most once per slot
-	}
-	copy(t.Shape, shape)
+	t := s.sized(layer, slot, n).t
+	copy(setShape(t, len(shape)), shape)
 	return t
 }
 
@@ -217,67 +200,73 @@ func (s *Scratch) stateBufShape(layer, slot int, shape []int) *tensor.Tensor {
 	return s.bufShape(layer, slot, shape)
 }
 
-// once returns a once-per-pass buffer plus whether the caller must
+// fresh reports whether a once-per-pass entry still has to be filled
+// this pass, marking it filled.
+func (s *Scratch) fresh(layer, slot int) bool {
+	e := s.entry(layer, slot)
+	f := e.gen != s.gen
+	e.gen = s.gen
+	return f
+}
+
+// once2 returns a once-per-pass buffer plus whether the caller must
 // (re)fill it this pass — the weight-panel cache (mask application,
-// transposition) that the allocating path re-derived after every Reset.
+// transposition).
 func (s *Scratch) once2(layer, slot, a, b int) (*tensor.Tensor, bool) {
-	t := s.buf2(layer, slot, a, b)
-	e := s.entry(layer, slot)
-	fresh := e.gen != s.gen
-	e.gen = s.gen
-	return t, fresh
+	return s.buf2(layer, slot, a, b), s.fresh(layer, slot)
 }
 
-// onceShape is once2 for an arbitrary shape. The training arena also
-// uses the freshness bit for per-pass state whose first use must see it
-// uninitialized (the LIF backward carry, the dropout mask).
+// onceShape is once2 for an arbitrary shape, also used for per-pass
+// state whose first use must see it uninitialized (the LIF backward
+// carry, the dropout mask).
 func (s *Scratch) onceShape(layer, slot int, shape []int) (*tensor.Tensor, bool) {
-	t := s.bufShape(layer, slot, shape)
-	e := s.entry(layer, slot)
-	fresh := e.gen != s.gen
-	e.gen = s.gen
-	return t, fresh
+	return s.bufShape(layer, slot, shape), s.fresh(layer, slot)
 }
 
-// view1..3 return a cached tensor header wrapping caller data — the
+// view returns a cached tensor header wrapping caller data — the
 // allocation-free Reshape/FromSlice. The header is reused, so a view is
 // only valid until the slot's next use.
-func (s *Scratch) viewEntry(layer, slot int, data []float32) *scratchEntry {
+func (s *Scratch) view(layer, slot int, data []float32) *tensor.Tensor {
 	e := s.entry(layer, slot)
 	if e.t == nil {
 		e.t = &tensor.Tensor{} //axsnn:allow-alloc one view header per slot, created on first use
 	}
 	e.view = true
 	e.t.Data = data
-	return e
-}
-
-func (s *Scratch) view1(layer, slot int, data []float32, a int) *tensor.Tensor {
-	e := s.viewEntry(layer, slot, data)
-	setShape1(e.t, a)
 	return e.t
 }
 
 func (s *Scratch) view2(layer, slot int, data []float32, a, b int) *tensor.Tensor {
-	e := s.viewEntry(layer, slot, data)
-	setShape2(e.t, a, b)
-	return e.t
+	t := s.view(layer, slot, data)
+	sh := setShape(t, 2)
+	sh[0], sh[1] = a, b
+	return t
 }
 
 func (s *Scratch) view3(layer, slot int, data []float32, a, b, c int) *tensor.Tensor {
-	e := s.viewEntry(layer, slot, data)
-	setShape3(e.t, a, b, c)
-	return e.t
+	t := s.view(layer, slot, data)
+	sh := setShape(t, 3)
+	sh[0], sh[1], sh[2] = a, b, c
+	return t
 }
 
-// viewShape is view1..3 for an arbitrary shape slice.
+// viewShape is view2/view3 for an arbitrary shape slice.
 func (s *Scratch) viewShape(layer, slot int, data []float32, shape []int) *tensor.Tensor {
-	e := s.viewEntry(layer, slot, data)
-	if len(e.t.Shape) != len(shape) {
-		e.t.Shape = make([]int, len(shape)) //axsnn:allow-alloc rank changes at most once per slot
+	t := s.view(layer, slot, data)
+	copy(setShape(t, len(shape)), shape)
+	return t
+}
+
+// intBuf returns a reusable int buffer of length n for (layer, slot).
+// Contents persist between the forward and backward of one pass.
+func (s *Scratch) intBuf(layer, slot, n int) []int {
+	k := slotKey{layer, slot}
+	b := s.ints[k]
+	if cap(b) < n {
+		b = make([]int, n) //axsnn:allow-alloc grows only when the slot length increases
+		s.ints[k] = b
 	}
-	copy(e.t.Shape, shape)
-	return e.t
+	return b[:n]
 }
 
 // release drops borrowed data references so a parked arena cannot keep
@@ -288,76 +277,73 @@ func (s *Scratch) release() {
 			e.t.Data = nil
 		}
 	}
+	s.one[0] = nil
 }
 
-// arenaLayer is implemented by every built-in layer: an inference-mode
-// forward (train=false semantics) that draws all working memory from the
-// arena. li is the layer's position (the buffer key). batch distinguishes
-// the two data layouts exactly like Forward vs ForwardBatch do: 0 means
-// per-sample tensors (no batch axis); >= 1 means batched tensors whose
-// leading axis holds batch samples.
-type arenaLayer interface {
-	forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor
-}
-
-// AcquireScratch returns an inference arena for this network, recycled
-// from the network's free list when one is parked there. Pair with
-// Release. Not safe for concurrent use — concurrent evaluation runs on
-// CloneArchitecture clones, each owning its arenas.
+// AcquireScratch returns an arena for this network, recycled from the
+// network's free list when one is parked there. Pair with Release. Not
+// safe for concurrent use — concurrent work runs on CloneArchitecture
+// clones, each owning its arenas.
 func (n *Network) AcquireScratch() *Scratch {
-	if k := len(n.scratchFree); k > 0 {
-		s := n.scratchFree[k-1]
-		n.scratchFree = n.scratchFree[:k-1]
+	if k := len(n.free); k > 0 {
+		s := n.free[k-1]
+		n.free = n.free[:k-1]
 		return s
 	}
 	return newScratch()
 }
 
-// Release parks a scratch arena for reuse by the next AcquireScratch.
+// Release parks an arena for reuse by the next AcquireScratch.
 func (n *Network) Release(s *Scratch) {
 	if s == nil {
 		return
 	}
 	s.release()
-	n.scratchFree = append(n.scratchFree, s) //axsnn:allow-alloc free list grows to the high-water mark of live arenas
+	n.free = append(n.free, s) //axsnn:allow-alloc free list grows to the high-water mark of live arenas
 }
 
-// arenaCapable reports whether every layer supports the arena path,
-// caching the layer slice on first use.
-//
-//axsnn:allow-alloc caches the arena layer slice; runs once per network
-func (n *Network) arenaCapable() bool {
-	if !n.arenaInit {
-		n.arenaInit = true
-		ls := make([]arenaLayer, 0, len(n.Layers))
-		for _, l := range n.Layers {
-			al, ok := l.(arenaLayer)
-			if !ok {
-				return false
-			}
-			ls = append(ls, al)
+// stepInput stacks step t of every sample into the arena's one reused
+// (B, sample shape...) frame; a sample with fewer frames than steps
+// repeats its last frame.
+func stepInput(s *Scratch, samples [][]*tensor.Tensor, t int) *tensor.Tensor {
+	shape := samples[0][0].Shape
+	per := samples[0][0].Len()
+	f := s.sized(netLayer, slotFrame, len(samples)*per).t
+	sh := setShape(f, 1+len(shape))
+	sh[0] = len(samples)
+	copy(sh[1:], shape)
+	for b, fr := range samples {
+		src := fr[min(t, len(fr)-1)]
+		if src.Len() != per {
+			panic("snn: batch samples disagree on frame size")
 		}
-		n.arenaLs = ls
+		copy(f.Data[b*per:(b+1)*per], src.Data)
 	}
-	return n.arenaLs != nil
+	return f
 }
 
-// forwardScratch runs a full inference pass against the arena and
-// returns the accumulated logits — which live in the arena and are only
-// valid until its next pass. batch is 0 for per-sample frames.
-func (n *Network) forwardScratch(frames []*tensor.Tensor, s *Scratch, batch int) *tensor.Tensor {
-	if len(frames) == 0 {
-		panic("snn: Forward with no input frames")
+// forwardPass runs every step of a batch (samples[b] is sample b's
+// frame sequence) through every layer against the arena and returns
+// the accumulated (B, classes) logits, which live in the arena until
+// its next pass. train selects the training kernels and records the
+// per-step caches backwardPass reads; inference keeps no rings.
+//
+//axsnn:hotpath
+func (n *Network) forwardPass(s *Scratch, samples [][]*tensor.Tensor, train bool) *tensor.Tensor {
+	if len(samples) == 0 {
+		panic("snn: forward pass with no samples")
 	}
-	if !n.arenaCapable() {
-		panic("snn: network has non-arena layers; use Forward")
+	for _, fr := range samples {
+		if len(fr) == 0 {
+			panic("snn: forward pass sample with no input frames")
+		}
 	}
 	s.begin()
 	var logits *tensor.Tensor
 	for t := 0; t < n.Cfg.Steps; t++ {
-		x := frames[min(t, len(frames)-1)]
-		for li, l := range n.arenaLs {
-			x = l.forwardArena(x, s, li, batch)
+		x := stepInput(s, samples, t)
+		for li, l := range n.Layers {
+			x = l.forward(x, s, li, t, train)
 		}
 		if logits == nil {
 			logits = s.bufShape(netLayer, slotLogits, x.Shape)
@@ -366,59 +352,4 @@ func (n *Network) forwardScratch(frames []*tensor.Tensor, s *Scratch, batch int)
 		logits.Add(x)
 	}
 	return logits
-}
-
-// predictBatchScratch stacks samples step by step into one reused frame
-// buffer (instead of materializing all Steps stacked tensors like
-// StackFrames) and writes the per-sample argmax classes into out.
-func (n *Network) predictBatchScratch(samples [][]*tensor.Tensor, s *Scratch, out []int) {
-	if !n.arenaCapable() {
-		panic("snn: network has non-arena layers; use ForwardSamples")
-	}
-	for _, fr := range samples {
-		if len(fr) == 0 {
-			panic("snn: PredictBatch sample with no input frames")
-		}
-	}
-	s.begin()
-	batch := len(samples)
-	shape := samples[0][0].Shape
-	per := samples[0][0].Len()
-	var logits *tensor.Tensor
-	for t := 0; t < n.Cfg.Steps; t++ {
-		// The layers see the true batched shape (B, sample dims...).
-		f := s.sized(netLayer, slotFrame, batch*per).t
-		if len(f.Shape) != 1+len(shape) {
-			f.Shape = make([]int, 1+len(shape)) //axsnn:allow-alloc rank changes at most once per slot
-		}
-		f.Shape[0] = batch
-		copy(f.Shape[1:], shape)
-		for b, fr := range samples {
-			src := fr[min(t, len(fr)-1)]
-			if src.Len() != per {
-				panic("snn: PredictBatch samples disagree on frame size")
-			}
-			copy(f.Data[b*per:(b+1)*per], src.Data)
-		}
-		x := f
-		for li, l := range n.arenaLs {
-			x = l.forwardArena(x, s, li, batch)
-		}
-		if logits == nil {
-			logits = s.bufShape(netLayer, slotLogits, x.Shape)
-			logits.Zero()
-		}
-		logits.Add(x)
-	}
-	classes := logits.Len() / batch
-	for b := range out {
-		row := logits.Data[b*classes : (b+1)*classes]
-		best, bi := row[0], 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
-		}
-		out[b] = bi
-	}
 }

@@ -29,9 +29,9 @@ func randFrames(r *rng.RNG, batch, steps int, density float64, shape ...int) [][
 }
 
 // TestForwardBatchMatchesLooped pins the batched-path contract: for any
-// batch, ForwardBatch logits must match running Network.Forward on each
-// sample individually (the kernels preserve per-element accumulation
-// order, so the tolerance is tight).
+// batch, the batched logits must match running each sample alone as a
+// batch of one (the kernels preserve per-element accumulation order, so
+// the tolerance is tight).
 func TestForwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(41)
 	cfg := DefaultConfig(0.6, 5)
@@ -44,14 +44,11 @@ func TestForwardBatchMatchesLooped(t *testing.T) {
 		"dense": {1, 12, 12},
 	}
 	for name, net := range nets {
-		if !net.Batchable() {
-			t.Fatalf("%s: built-in network not batchable", name)
-		}
 		for _, density := range []float64{0, 0.15, 0.8} {
 			samples := randFrames(r, 7, cfg.Steps, density, shapes[name]...)
-			batched := net.ForwardBatch(StackFrames(samples, cfg.Steps), false)
+			batched := batchLogits(net, samples)
 			for b, fr := range samples {
-				single := net.Forward(fr, false)
+				single := net.Logits(fr)
 				for j, v := range single.Data {
 					got := batched.Data[b*single.Len()+j]
 					if math.Abs(float64(got-v)) > 1e-5 {
@@ -83,7 +80,8 @@ func TestMaxPoolDVSBatchMatchesLooped(t *testing.T) {
 // TestBackwardBatchMatchesLooped checks that one batched training pass
 // accumulates the same parameter gradients as per-sample passes (the
 // per-sample gradient terms are identical; only their summation order
-// across the batch differs, so the comparison uses a scaled tolerance).
+// across the batch differs, so the comparison uses a scaled tolerance),
+// and that batched input gradients match per-sample ones.
 func TestBackwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(44)
 	cfg := DefaultConfig(0.6, 4)
@@ -94,19 +92,18 @@ func TestBackwardBatchMatchesLooped(t *testing.T) {
 
 	a := build()
 	a.ZeroGrads()
-	logits := a.ForwardBatch(StackFrames(samples, cfg.Steps), true)
-	lossBatch, grad := SoftmaxCrossEntropyBatch(logits, labels)
-	gradsIn := a.BackwardBatch(grad)
+	sa := a.AcquireScratch()
+	lossBatch := a.TrainStepScratch(samples, labels, sa)
+	gradsIn := InputGradientBatch(a, StackFrames(samples, cfg.Steps), labels)
 
 	b := build()
 	b.ZeroGrads()
+	sb := b.AcquireScratch()
 	lossLoop := 0.0
 	loopGradsIn := make([][]*tensor.Tensor, len(samples))
 	for i, fr := range samples {
-		lg := b.Forward(fr, true)
-		loss, g := SoftmaxCrossEntropy(lg, labels[i])
-		lossLoop += loss
-		loopGradsIn[i] = b.Backward(g)
+		lossLoop += b.TrainStepScratch([][]*tensor.Tensor{fr}, labels[i:i+1], sb)
+		loopGradsIn[i] = InputGradient(b, fr, labels[i])
 	}
 
 	if math.Abs(lossBatch-lossLoop) > 1e-6*math.Max(1, math.Abs(lossLoop)) {

@@ -8,16 +8,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over (C,H,W) inputs, lowered to matrix
-// multiplication via im2row. Weights are stored as (OutC, InC·KH·KW)
-// plus a per-output-channel bias.
+// Conv2D is a 2-D convolution over (B,C,H,W) inputs, lowered to matrix
+// multiplication. Weights are stored as (OutC, InC·KH·KW) plus a
+// per-output-channel bias.
 //
-// Both the single-sample and the batched path share one kernel: the
-// input lowers to receptive-field rows (B·OutH·OutW, InC·KH·KW), one
-// MatMul against the transposed weights computes every output position
-// of every sample, and spike-sparse rows ride the GEMM skip-zero fast
-// path. Per-forward caches (the transposed and mask-applied weights)
-// live until Reset, which every network-level pass calls first.
+// Inference lowers the batch to receptive-field rows (im2row, see
+// rowsOrient) or one im2col panel and runs a single GEMM for every
+// output position of every sample, spike-sparse rows riding the GEMM
+// skip-zero fast path. Training always lowers to the im2col panel — the
+// layout the backward kernels consume — and keeps one per step in the
+// arena.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -31,12 +31,6 @@ type Conv2D struct {
 
 	dW *tensor.Tensor
 	dB *tensor.Tensor
-
-	rows []*tensor.Tensor // cached lowering matrices per step (training)
-
-	effW       *tensor.Tensor // mask-applied weights, valid until Reset
-	wT         *tensor.Tensor // transposed effective weights, valid until Reset
-	lowScratch *tensor.Tensor // inference-mode lowering buffer, reused across steps
 
 	// Int8 tier state (tier.go): the per-channel panel built cold by
 	// Network.BuildInt8Panels (shared read-only between clones), the
@@ -89,49 +83,9 @@ func sqrt32(x float32) float32 {
 // Name implements Layer.
 func (c *Conv2D) Name() string { return "conv2d" }
 
-// effectiveW returns the weight matrix with the prune mask applied,
-// cached until the next Reset.
-func (c *Conv2D) effectiveW() *tensor.Tensor {
-	if c.Mask == nil {
-		return c.W
-	}
-	if c.effW == nil {
-		c.effW = c.W.Clone()
-		c.effW.Mul(c.Mask)
-	}
-	return c.effW
-}
-
-// transposedW returns effectiveW transposed to (InC·KH·KW, OutC),
-// cached until the next Reset.
-func (c *Conv2D) transposedW() *tensor.Tensor {
-	if c.wT == nil {
-		c.wT = tensor.Transpose(c.effectiveW())
-	}
-	return c.wT
-}
-
-// Forward implements Layer (single sample, (C,H,W)).
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("snn: Conv2D input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	g := c.Geom
-	out := c.forwardBatch(x.Reshape(1, g.InC, g.InH, g.InW), train)
-	return out.Reshape(c.OutC, g.OutH(), g.OutW())
-}
-
-// ForwardBatch implements BatchLayer ((B,C,H,W) → (B,OutC,OutH,OutW)).
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	return c.forwardBatch(x, train)
-}
-
 // scatterRowsBias de-interleaves a rows-orient GEMM result (B·N, OutC)
 // into (B, OutC, N) output layout, adding the channel bias. Shared by
-// the allocating and arena forwards so they stay bit-identical.
+// the FP32 and int8 forwards.
 func (c *Conv2D) scatterRowsBias(out, outT *tensor.Tensor, batch, n int) {
 	for b := 0; b < batch; b++ {
 		for j := 0; j < n; j++ {
@@ -158,106 +112,45 @@ func (c *Conv2D) scatterColsBias(out, big *tensor.Tensor, batch, n int) {
 	}
 }
 
-func (c *Conv2D) forwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g := c.Geom
-	batch := x.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-
-	var low *tensor.Tensor // lowering: (B·N, CKK) rows or (CKK, B·N) cols
-	if train {
-		low = tensor.New(batch * n * ckk)
-	} else {
-		if c.lowScratch == nil || c.lowScratch.Len() != batch*n*ckk {
-			c.lowScratch = tensor.New(batch * n * ckk)
-		}
-		low = c.lowScratch
+// effW returns the weight matrix with the prune mask applied, derived
+// once per pass in the arena, or the raw weights when unmasked.
+func (c *Conv2D) effW(s *Scratch, li int) *tensor.Tensor {
+	if c.Mask == nil {
+		return c.W
 	}
-
-	var out *tensor.Tensor
-	if !train && c.rowsOrient() {
-		rows := low.Reshape(batch*n, ckk)
-		for b := 0; b < batch; b++ {
-			sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2RowInto(rows.Data[b*n*ckk:(b+1)*n*ckk], sample, g)
-		}
-		// (B·N, CKK) · (CKK, OutC): sparse receptive-field rows skip.
-		outT := tensor.MatMul(rows, c.transposedW())
-		out = tensor.New(batch, c.OutC, oh, ow)
-		c.scatterRowsBias(out, outT, batch, n)
-	} else {
-		cols := low.Reshape(ckk, batch*n)
-		for b := 0; b < batch; b++ {
-			sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-		}
-		// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
-		big := tensor.MatMul(c.effectiveW(), cols)
-		if batch == 1 {
-			for oc := 0; oc < c.OutC; oc++ {
-				row := big.Data[oc*n : (oc+1)*n]
-				bias := c.B.Data[oc]
-				for j := range row {
-					row[j] += bias
-				}
-			}
-			out = big.Reshape(1, c.OutC, oh, ow)
-		} else {
-			out = tensor.New(batch, c.OutC, oh, ow)
-			c.scatterColsBias(out, big, batch, n)
-		}
+	effW, fresh := s.once2(li, slotEffW, c.OutC, c.Geom.InC*c.Geom.KH*c.Geom.KW)
+	if fresh {
+		copy(effW.Data, c.W.Data)
+		effW.Mul(c.Mask)
 	}
-	if train {
-		c.rows = append(c.rows, low)
-	}
-	return out
+	return effW
 }
 
-// forwardArena implements arenaLayer: the same lowering + GEMM + bias
-// sequence as the allocating inference path, with the lowering panel,
-// GEMM result, output tensor and once-per-pass weight panels all drawn
-// from the arena.
-func (c *Conv2D) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
+// forward implements Layer ((B,C,H,W) → (B,OutC,OutH,OutW)). Inference
+// on a wide bank or receptive field lowers to im2row rows against the
+// transposed weights (and to the int8 kernel under TierINT8); training
+// and narrow banks run one im2col panel GEMM, and training keeps that
+// panel in the step's ring for backward.
+//
+//axsnn:hotpath
+func (c *Conv2D) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
 	g := c.Geom
-	b := batch
-	if b == 0 {
-		b = 1
-	}
+	b := x.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
 	n := oh * ow
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 	if x.Len() != b*chw {
-		panic(fmt.Sprintf("snn: Conv2D input %s does not match geom %+v (batch %d)", shapeStr(x.Shape), g, b)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+		panic(fmt.Sprintf("snn: Conv2D input %s does not match geom %+v", shapeStr(x.Shape), g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-
-	var out *tensor.Tensor
-	if batch == 0 {
-		out = s.buf3(li, slotOut, c.OutC, oh, ow)
-	} else {
-		out = s.buf4(li, slotOut, b, c.OutC, oh, ow)
-	}
-	if c.useInt8 {
+	out := s.buf4(li, slotOut, b, c.OutC, oh, ow)
+	if !train && c.useInt8 {
 		// Quantized tier: the panel already carries the prune mask, so
-		// the effW/wT derivations are skipped entirely.
-		return c.forwardArenaInt8(x, s, li, batch, out)
+		// the mask and transpose panels are skipped entirely.
+		return c.forwardInt8(x, s, li, out)
 	}
-
-	// Effective weights, re-derived once per pass — the cadence the
-	// allocating path gets from Reset clearing its caches.
-	w := c.W
-	if c.Mask != nil {
-		effW, fresh := s.once2(li, slotEffW, c.OutC, ckk)
-		if fresh {
-			copy(effW.Data, c.W.Data)
-			effW.Mul(c.Mask)
-		}
-		w = effW
-	}
-
-	if c.rowsOrient() {
+	w := c.effW(s, li)
+	if !train && c.rowsOrient() {
 		wT, fresh := s.once2(li, slotWT, ckk, c.OutC)
 		if fresh {
 			tensor.TransposeInto(wT, w)
@@ -271,89 +164,48 @@ func (c *Conv2D) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tens
 		outT := s.buf2(li, slotGemm, b*n, c.OutC)
 		tensor.MatMulInto(outT, rows, wT)
 		c.scatterRowsBias(out, outT, b, n)
-	} else {
-		cols := s.buf2(li, slotLow, ckk, b*n)
-		for bi := 0; bi < b; bi++ {
-			sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2ColStripeInto(cols.Data, b*n, bi*n, sample, g)
-		}
-		// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
-		big := s.buf2(li, slotGemm, c.OutC, b*n)
-		tensor.MatMulInto(big, w, cols)
-		c.scatterColsBias(out, big, b, n)
+		return out
 	}
-	return out
-}
-
-// trainEffW returns the weight matrix with the prune mask applied from
-// the arena's once-per-pass slot (the cadence Reset gives the
-// allocating path), or the raw weights when unmasked. Forward derives
-// it; the backward calls of the same pass reuse it.
-func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
-	if c.Mask == nil {
-		return c.W
+	low := slotLow
+	if train {
+		low = at(slotLow, t)
 	}
-	effW, fresh := ts.once2(li, slotEffW, c.OutC, c.Geom.InC*c.Geom.KH*c.Geom.KW)
-	if fresh {
-		copy(effW.Data, c.W.Data)
-		effW.Mul(c.Mask)
+	cols := s.buf2(li, low, ckk, b*n)
+	for bi := 0; bi < b; bi++ {
+		sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
+		tensor.Im2ColStripeInto(cols.Data, b*n, bi*n, sample, g)
 	}
-	return effW
-}
-
-// ForwardBatchInto implements trainLayer: the training forward
-// (ForwardBatch(x, true)) with the per-step im2col panel cached in the
-// arena's step ring instead of freshly allocated, and the GEMM result,
-// output tensor and weight panels all reused.
-func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	g := c.Geom
-	batch := x.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-	w := c.trainEffW(ts, li)
-
-	// Training always lowers to the im2col panel — the layout the
-	// backward kernels consume, matching forwardBatch's train branch.
-	cols := ts.buf2(li, slotLow, t, ckk, batch*n)
-	for b := 0; b < batch; b++ {
-		sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-		tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-	}
-	big := ts.buf2(li, slotGemm, -1, c.OutC, batch*n)
+	// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
+	big := s.buf2(li, slotGemm, c.OutC, b*n)
 	tensor.MatMulInto(big, w, cols)
-	out := ts.buf4(li, slotOut, -1, batch, c.OutC, oh, ow)
-	c.scatterColsBias(out, big, batch, n)
+	c.scatterColsBias(out, big, b, n)
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: backwardBatch against the
-// arena's cached panel for this step. The weight-gradient GEMM runs the
-// spike-sparse column-skip kernel — the cached im2col panel is the
-// transposed operand and is mostly zero taps, so its dead columns skip
-// wholesale (bit-identical accumulation, see tensor.MatMulTColSkipAcc).
-// With needDX false (no parameter layer below) the input-gradient GEMM
-// and col2im scatter are skipped entirely.
-func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer against the step's cached im2col panel. The
+// weight-gradient GEMM runs the spike-sparse column-skip kernel — the
+// panel is the transposed operand and mostly zero taps, so its dead
+// columns skip wholesale (bit-identical accumulation, see
+// tensor.MatMulTColSkipAcc). With needDX false (no parameter layer
+// below) the input-gradient GEMM and col2im scatter are skipped.
+//
+//axsnn:hotpath
+func (c *Conv2D) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
 	n := oh * ow
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
-	cols := ts.buf2(li, slotLow, t, ckk, batch*n)
+	cols := s.buf2(li, at(slotLow, t), ckk, batch*n)
 
 	// g2B[oc, b·N+j] = grad[b, oc, j]; for a single sample the gradient
 	// already is that matrix.
 	var g2B *tensor.Tensor
 	if batch == 1 {
-		g2B = ts.view2(li, slotGradView, grad.Data, c.OutC, n)
+		g2B = s.view2(li, slotGradView, grad.Data, c.OutC, n)
 	} else {
-		g2B = ts.buf2(li, slotG2B, -1, c.OutC, batch*n)
+		g2B = s.buf2(li, slotG2B, c.OutC, batch*n)
 		for b := 0; b < batch; b++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				copy(g2B.Data[oc*batch*n+b*n:oc*batch*n+(b+1)*n],
@@ -363,98 +215,27 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	}
 	for oc := 0; oc < c.OutC; oc++ {
 		row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
-		var s float32
+		var sum float32
 		for _, v := range row {
-			s += v
+			sum += v
 		}
-		c.dB.Data[oc] += s
+		c.dB.Data[oc] += sum
 	}
 	// dW += g2B·colsᵀ over the nonzero panel columns only.
-	tensor.MatMulTColSkipAcc(c.dW, g2B, cols, ts.ints(li, slotIdx, -1, batch*n))
+	tensor.MatMulTColSkipAcc(c.dW, g2B, cols, s.intBuf(li, slotIdx, batch*n))
 	if !needDX {
 		return nil
 	}
 	// dX = col2im(Wᵀ·g2B) per sample.
-	dcols := ts.buf2(li, slotDCols, -1, ckk, batch*n)
-	tensor.TMatMulInto(dcols, c.trainEffW(ts, li), g2B)
-	dx := ts.buf4(li, slotGrad, -1, batch, g.InC, g.InH, g.InW)
+	dcols := s.buf2(li, slotDCols, ckk, batch*n)
+	tensor.TMatMulInto(dcols, c.effW(s, li), g2B)
+	dx := s.buf4(li, slotGrad, batch, g.InC, g.InH, g.InW)
 	dx.Zero()
 	for b := 0; b < batch; b++ {
-		sample := ts.view3(li, slotOutView, dx.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+		sample := s.view3(li, slotOutView, dx.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
 		tensor.Col2ImStripeInto(sample, dcols.Data, batch*n, b*n, g)
 	}
 	return dx
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := c.Geom
-	dx := c.backwardBatch(grad.Reshape(1, c.OutC, g.OutH(), g.OutW()))
-	return dx.Reshape(g.InC, g.InH, g.InW)
-}
-
-// BackwardBatch implements BatchLayer.
-func (c *Conv2D) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return c.backwardBatch(grad)
-}
-
-func (c *Conv2D) backwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	nc := len(c.rows)
-	if nc == 0 {
-		panic("snn: Conv2D.Backward without cached forward step")
-	}
-	low := c.rows[nc-1]
-	c.rows = c.rows[:nc-1]
-
-	g := c.Geom
-	batch := grad.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-	dx := tensor.New(batch, g.InC, g.InH, g.InW)
-
-	// Training forwards always cache the im2col panel (the im2row
-	// orientation only serves inference), so the backward kernels are
-	// the classic panel forms.
-	cols := low.Reshape(ckk, batch*n)
-	// g2B[oc, b·N+j] = grad[b, oc, j]; for a single sample the gradient
-	// already is that matrix.
-	var g2B *tensor.Tensor
-	if batch == 1 {
-		g2B = grad.Reshape(c.OutC, n)
-	} else {
-		g2B = tensor.New(c.OutC, batch*n)
-		for b := 0; b < batch; b++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				copy(g2B.Data[oc*batch*n+b*n:oc*batch*n+(b+1)*n],
-					grad.Data[(b*c.OutC+oc)*n:(b*c.OutC+oc+1)*n])
-			}
-		}
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
-		var s float32
-		for _, v := range row {
-			s += v
-		}
-		c.dB.Data[oc] += s
-	}
-	// dW += g2B·colsᵀ ; dX = col2im(Wᵀ·g2B) per sample.
-	tensor.MatMulTAcc(c.dW, g2B, cols)
-	dcols := tensor.TMatMul(c.effectiveW(), g2B)
-	for b := 0; b < batch; b++ {
-		sample := tensor.FromSlice(dx.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-		tensor.Col2ImStripeInto(sample, dcols.Data, batch*n, b*n, g)
-	}
-	return dx
-}
-
-// Reset implements Layer.
-func (c *Conv2D) Reset() {
-	c.rows = c.rows[:0]
-	c.effW = nil
-	c.wT = nil
 }
 
 // Params implements ParamLayer.
@@ -463,8 +244,7 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads implements ParamLayer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} }
 
-// Dense is a fully connected layer y = Wx + b over rank-1 inputs (or
-// (B,In) batches).
+// Dense is a fully connected layer y = Wx + b over (B,In) batches.
 type Dense struct {
 	In, Out int
 
@@ -476,12 +256,6 @@ type Dense struct {
 
 	dW *tensor.Tensor
 	dB *tensor.Tensor
-
-	xs []*tensor.Tensor // cached inputs per step (training)
-
-	effW *tensor.Tensor // mask-applied weights, valid until Reset
-	wT   *tensor.Tensor // transposed effective weights, valid until Reset
-	idx  []int          // scratch: nonzero input indices (spike fast path)
 
 	// Int8 tier state (tier.go), mirroring Conv2D's.
 	panel   *quant.Int8Panel
@@ -506,142 +280,12 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
 
-func (d *Dense) effectiveW() *tensor.Tensor {
+// effW is Conv2D.effW for the dense layer.
+func (d *Dense) effW(s *Scratch, li int) *tensor.Tensor {
 	if d.Mask == nil {
 		return d.W
 	}
-	if d.effW == nil {
-		d.effW = d.W.Clone()
-		d.effW.Mul(d.Mask)
-	}
-	return d.effW
-}
-
-func (d *Dense) transposedW() *tensor.Tensor {
-	if d.wT == nil {
-		d.wT = tensor.Transpose(d.effectiveW())
-	}
-	return d.wT
-}
-
-// nonzero fills d.idx with the indices of nonzero elements of x.
-func (d *Dense) nonzero(x []float32) []int {
-	idx := d.idx[:0]
-	for i, v := range x {
-		if v != 0 {
-			idx = append(idx, i) //axsnn:allow-alloc grows d.idx to the densest frame seen, then reuses it
-		}
-	}
-	d.idx = idx
-	return idx
-}
-
-// forwardInto computes out = w·x + b for one sample. Spiking inputs are
-// mostly zeros, so the dot products gather only the nonzero indices;
-// dense inputs fall back to the straight loops. Shared by Forward and
-// forwardArena so the arena stays bit-identical by construction.
-func (d *Dense) forwardInto(w, x, out *tensor.Tensor) {
-	idx := d.nonzero(x.Data)
-	if 2*len(idx) <= d.In {
-		for o := 0; o < d.Out; o++ {
-			row := w.Data[o*d.In : (o+1)*d.In]
-			var s float32
-			for _, i := range idx {
-				s += row[i] * x.Data[i]
-			}
-			out.Data[o] = s + d.B.Data[o]
-		}
-	} else {
-		for o := 0; o < d.Out; o++ {
-			row := w.Data[o*d.In : (o+1)*d.In]
-			var s float32
-			for i, xv := range x.Data {
-				s += row[i] * xv
-			}
-			out.Data[o] = s + d.B.Data[o]
-		}
-	}
-}
-
-// Forward implements Layer (single sample).
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Len() != d.In {
-		panic(fmt.Sprintf("snn: Dense input %d, want %d", x.Len(), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	out := tensor.New(d.Out)
-	d.forwardInto(d.effectiveW(), x, out)
-	if train {
-		d.xs = append(d.xs, x.Clone())
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer ((B,In) → (B,Out)): one GEMM
-// against the transposed weights, sparse input rows skipping wholesale.
-func (d *Dense) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	out := tensor.MatMul(x, d.transposedW())
-	batch := x.Shape[0]
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	if train {
-		d.xs = append(d.xs, x.Clone())
-	}
-	return out
-}
-
-// forwardArena implements arenaLayer: the per-sample path keeps the
-// spike-sparse gather loops, the batched path the single GEMM; outputs
-// and weight panels live in the arena.
-func (d *Dense) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if d.useInt8 {
-		// Quantized tier: the panel already carries the prune mask.
-		return d.forwardArenaInt8(x, s, li, batch)
-	}
-	w := d.W
-	if d.Mask != nil {
-		effW, fresh := s.once2(li, slotEffW, d.Out, d.In)
-		if fresh {
-			copy(effW.Data, d.W.Data)
-			effW.Mul(d.Mask)
-		}
-		w = effW
-	}
-	if batch == 0 {
-		if x.Len() != d.In {
-			panic(fmt.Sprintf("snn: Dense input %d, want %d", x.Len(), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-		}
-		out := s.buf1(li, slotOut, d.Out)
-		d.forwardInto(w, x, out)
-		return out
-	}
-	wT, fresh := s.once2(li, slotWT, d.In, d.Out)
-	if fresh {
-		tensor.TransposeInto(wT, w)
-	}
-	out := s.buf2(li, slotOut, batch, d.Out)
-	tensor.MatMulInto(out, x, wT)
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	return out
-}
-
-// trainEffW is Conv2D.trainEffW for the dense layer.
-func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
-	if d.Mask == nil {
-		return d.W
-	}
-	effW, fresh := ts.once2(li, slotEffW, d.Out, d.In)
+	effW, fresh := s.once2(li, slotEffW, d.Out, d.In)
 	if fresh {
 		copy(effW.Data, d.W.Data)
 		effW.Mul(d.Mask)
@@ -649,44 +293,52 @@ func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	return effW
 }
 
-// ForwardBatchInto implements trainLayer: ForwardBatch(x, true) with
-// the GEMM output, weight panels and the per-step input cache (the
-// allocating path's Clone) drawn from the arena.
-func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
+// forward implements Layer ((B,In) → (B,Out)): one GEMM against the
+// transposed weights, spike-sparse input rows skipping wholesale (the
+// int8 kernel under TierINT8). Training keeps the step's input for
+// backward.
+//
+//axsnn:hotpath
+func (d *Dense) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+		panic(fmt.Sprintf("snn: Dense input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	batch := x.Shape[0]
-	w := d.trainEffW(ts, li)
-	wT, fresh := ts.once2(li, slotWT, d.In, d.Out)
-	if fresh {
-		tensor.TransposeInto(wT, w)
+	out := s.buf2(li, slotOut, batch, d.Out)
+	if !train && d.useInt8 {
+		// Quantized tier: the panel already carries the prune mask.
+		tensor.MatMulInt8Into(out.Data, x.Data, batch, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
+	} else {
+		wT, fresh := s.once2(li, slotWT, d.In, d.Out)
+		if fresh {
+			tensor.TransposeInto(wT, d.effW(s, li))
+		}
+		tensor.MatMulInto(out, x, wT)
 	}
-	out := ts.buf2(li, slotOut, -1, batch, d.Out)
-	tensor.MatMulInto(out, x, wT)
 	for b := 0; b < batch; b++ {
 		row := out.Data[b*d.Out : (b+1)*d.Out]
 		for o := range row {
 			row[o] += d.B.Data[o]
 		}
 	}
-	xc := ts.buf2(li, slotXCache, t, batch, d.In)
-	copy(xc.Data, x.Data)
+	if train {
+		copy(s.buf2(li, at(slotXCache, t), batch, d.In).Data, x.Data)
+	}
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's per-step input cache, with the weight-gradient panel and the
-// input-gradient GEMM result reused. Kernels and accumulation order
-// match BackwardBatch exactly; with needDX false (no parameter layer
-// below) the input-gradient GEMM is skipped.
-func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer against the step's cached input. With
+// needDX false (no parameter layer below) the input-gradient GEMM is
+// skipped.
+//
+//axsnn:hotpath
+func (d *Dense) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	batch := grad.Shape[0]
-	x := ts.buf2(li, slotXCache, t, batch, d.In)
-	// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip path,
-	// then the cheap transposed add — BackwardBatch's kernels on a
-	// reusable panel.
-	dwT := ts.buf2(li, slotDW, -1, d.In, d.Out)
+	x := s.buf2(li, at(slotXCache, t), batch, d.In)
+	// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip path;
+	// the transposed add is O(In·Out) against the O(B·In·Out) GEMM it
+	// avoids.
+	dwT := s.buf2(li, slotDW, d.In, d.Out)
 	tensor.TMatMulInto(dwT, x, grad)
 	d.dW.AddTransposed(dwT)
 	for b := 0; b < batch; b++ {
@@ -698,83 +350,9 @@ func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t i
 	if !needDX {
 		return nil
 	}
-	dx := ts.buf2(li, slotGrad, -1, batch, d.In)
-	tensor.MatMulInto(dx, grad, d.trainEffW(ts, li))
+	dx := s.buf2(li, slotGrad, batch, d.In)
+	tensor.MatMulInto(dx, grad, d.effW(s, li))
 	return dx
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(d.xs)
-	if n == 0 {
-		panic("snn: Dense.Backward without cached forward step")
-	}
-	x := d.xs[n-1]
-	d.xs = d.xs[:n-1]
-
-	idx := d.nonzero(x.Data)
-	sparse := 2*len(idx) <= d.In
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		drow := d.dW.Data[o*d.In : (o+1)*d.In]
-		if sparse {
-			for _, i := range idx {
-				drow[i] += g * x.Data[i]
-			}
-		} else {
-			for i, xv := range x.Data {
-				drow[i] += g * xv
-			}
-		}
-		d.dB.Data[o] += g
-	}
-
-	w := d.effectiveW()
-	dx := tensor.New(d.In)
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		row := w.Data[o*d.In : (o+1)*d.In]
-		for i, wv := range row {
-			dx.Data[i] += g * wv
-		}
-	}
-	return dx
-}
-
-// BackwardBatch implements BatchLayer.
-func (d *Dense) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(d.xs)
-	if n == 0 {
-		panic("snn: Dense.Backward without cached forward step")
-	}
-	x := d.xs[n-1]
-	d.xs = d.xs[:n-1]
-
-	// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip
-	// path; the transposed add is O(In·Out) against the O(B·In·Out)
-	// GEMM it avoids.
-	d.dW.AddTransposed(tensor.TMatMul(x, grad))
-	batch := grad.Shape[0]
-	for b := 0; b < batch; b++ {
-		row := grad.Data[b*d.Out : (b+1)*d.Out]
-		for o, g := range row {
-			d.dB.Data[o] += g
-		}
-	}
-	return tensor.MatMul(grad, d.effectiveW())
-}
-
-// Reset implements Layer.
-func (d *Dense) Reset() {
-	d.xs = d.xs[:0]
-	d.effW = nil
-	d.wT = nil
 }
 
 // Params implements ParamLayer.

@@ -16,11 +16,27 @@ import (
 // directionally (cosine similarity between BPTT and finite differences of
 // the smoothed loss must be clearly positive).
 
-// lossOf runs a forward pass and returns the cross-entropy loss.
+// lossOf runs an inference pass and returns the cross-entropy loss.
 func lossOf(n *Network, frames []*tensor.Tensor, label int) float64 {
-	logits := n.Forward(frames, false)
-	l, _ := SoftmaxCrossEntropy(logits, label)
-	return l
+	logits := batchLogits(n, [][]*tensor.Tensor{frames})
+	return SoftmaxCrossEntropyBatchInto(logits, []int{label}, tensor.New(logits.Shape...))
+}
+
+// bpttOf runs one training pass on n itself, leaving the parameter
+// gradients in n's gradient tensors, and returns the per-step input
+// gradients.
+func bpttOf(n *Network, frames []*tensor.Tensor, label int) []*tensor.Tensor {
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	logits := n.forwardPass(s, [][]*tensor.Tensor{frames}, true)
+	_, grad := s.lossGrad(logits, []int{label})
+	n.ZeroGrads()
+	n.backwardPass(grad, s, true)
+	out := make([]*tensor.Tensor, n.Cfg.Steps)
+	for t := range out {
+		out[t] = s.stepGrad(t).Clone()
+	}
+	return out
 }
 
 func TestLinearNetworkGradCheck(t *testing.T) {
@@ -43,10 +59,7 @@ func TestLinearNetworkGradCheck(t *testing.T) {
 	label := 2
 
 	// Analytic gradients.
-	logits := n.Forward(frames, true)
-	_, gradLogits := SoftmaxCrossEntropy(logits, label)
-	n.ZeroGrads()
-	inGrads := n.Backward(gradLogits)
+	inGrads := bpttOf(n, frames, label)
 
 	// Check weight gradient of the dense layer numerically.
 	const eps = 1e-3
@@ -121,10 +134,7 @@ func TestSpikingGradientAscendsLoss(t *testing.T) {
 		label := trial % 4
 		base := lossOf(n, frames, label)
 
-		logits := n.Forward(frames, true)
-		_, gradLogits := SoftmaxCrossEntropy(logits, label)
-		n.ZeroGrads()
-		inGrads := n.Backward(gradLogits)
+		inGrads := InputGradient(n, frames, label)
 		g := tensor.New(16)
 		for _, ig := range inGrads {
 			g.Add(ig)
@@ -151,32 +161,5 @@ func TestSpikingGradientAscendsLoss(t *testing.T) {
 	}
 	if float64(improved) < 0.7*float64(tried) {
 		t.Fatalf("gradient ascent increased loss in only %d/%d trials", improved, tried)
-	}
-}
-
-// BPTT caches must be fully consumed by a complete backward pass, so a
-// second sample can run immediately.
-func TestCacheDisciplineAcrossSamples(t *testing.T) {
-	r := rng.New(3)
-	cfg := DefaultConfig(0.8, 4)
-	n := MNISTNet(cfg, 1, 8, 8, true, r)
-	frame := tensor.New(1, 8, 8)
-	for i := range frame.Data {
-		frame.Data[i] = r.Float32()
-	}
-	frames := []*tensor.Tensor{frame}
-	for round := 0; round < 3; round++ {
-		logits := n.Forward(frames, true)
-		_, g := SoftmaxCrossEntropy(logits, 1)
-		n.Backward(g)
-	}
-	// If caches leaked, the conv layers would have grown `cols` slices.
-	for _, l := range n.Layers {
-		if c, ok := l.(*Conv2D); ok && len(c.rows) != 0 {
-			t.Fatalf("conv cache leaked: %d entries", len(c.rows))
-		}
-		if d, ok := l.(*Dense); ok && len(d.xs) != 0 {
-			t.Fatalf("dense cache leaked: %d entries", len(d.xs))
-		}
 	}
 }

@@ -3,13 +3,19 @@
 // dropout layers, a network container, and surrogate-gradient
 // backpropagation-through-time training.
 //
-// Execution model: a network processes one sample as T time steps. Each
-// layer's Forward is called once per step in layer order and caches what
-// its backward pass needs; Backward is then called T times in *reverse*
-// step order, popping those caches. Between samples Reset clears all
-// state. This mirrors how mainstream SNN frameworks (SpikingJelly, Norse)
-// unroll BPTT, with the standard simplifications: the spike nonlinearity
-// uses a fast-sigmoid surrogate derivative and the reset path is detached.
+// Execution model: a network processes a batch of samples as T time
+// steps; every tensor carries the batch on its leading axis, and a
+// single sample is a batch of one. Each layer has exactly one forward
+// and one backward, both drawing all working memory from an arena
+// (Scratch, arena.go). The forward runs once per step in layer order;
+// in training mode it also records the per-step caches its backward
+// needs in the arena. The backward then runs T times in *reverse* step
+// order against those caches. Every pass opens by clearing the arena's
+// per-pass state (membranes, once-per-pass panels), so no state
+// outlives a pass. This mirrors how mainstream SNN frameworks
+// (SpikingJelly, Norse) unroll BPTT, with the standard simplifications:
+// the spike nonlinearity uses a fast-sigmoid surrogate derivative and
+// the reset path is detached.
 package snn
 
 import (
@@ -18,19 +24,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer is one stage of the unrolled network.
+// Layer is one stage of the unrolled network. The built-in layers are
+// the only implementations.
 type Layer interface {
-	// Forward advances the layer one time step. train enables
-	// behaviours like dropout and backward caching.
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward consumes the gradient w.r.t. this step's output and
-	// returns the gradient w.r.t. this step's input. Steps must be
-	// processed in reverse order of Forward calls.
-	Backward(grad *tensor.Tensor) *tensor.Tensor
-	// Reset clears membrane state and caches between samples.
-	Reset()
 	// Name identifies the layer type for diagnostics/serialization.
 	Name() string
+	// forward advances the layer one time step over a batch x, drawing
+	// its output and working memory from s. li is the layer's position
+	// (the arena key) and t the step. train selects the training
+	// kernels and records what backward needs for step t; inference
+	// leaves no per-step caches.
+	forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor
+	// backward consumes dL/d(output) of step t and accumulates
+	// parameter gradients. It returns dL/d(input), or nil when needDX
+	// is false and the layer can skip that work. Steps run in reverse
+	// order of the training forward.
+	backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor
 }
 
 // ParamLayer is a Layer with trainable parameters.
@@ -38,17 +47,6 @@ type ParamLayer interface {
 	Layer
 	Params() []*tensor.Tensor
 	Grads() []*tensor.Tensor
-}
-
-// BatchLayer is a Layer that can advance a whole minibatch per call:
-// the leading axis of the tensors passed to ForwardBatch/BackwardBatch
-// is the batch dimension, and every sample advances one time step in a
-// single kernel invocation. All built-in layers implement it; a network
-// whose layers all do exposes Network.ForwardBatch/BackwardBatch.
-type BatchLayer interface {
-	Layer
-	ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor
-	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
 }
 
 // LIF is a layer of leaky integrate-and-fire neurons applied elementwise
@@ -59,12 +57,10 @@ type LIF struct {
 	Decay float32 // membrane leak λ ∈ (0,1]
 	Beta  float32 // surrogate sharpness
 
-	v     *tensor.Tensor   // membrane potential
-	preVs []*tensor.Tensor // cached pre-reset potentials (training)
-	carry *tensor.Tensor   // dL/dV flowing backwards through time
-
 	// Calibration statistics used by the approximation-level equation
-	// (approx package): accumulated over forward steps until ResetStats.
+	// (approx package): accumulated over forward steps until
+	// ResetStats, normalized per sample so they are batch-size
+	// invariant.
 	StatSpikes float64 // total output spikes
 	StatVSum   float64 // sum of mean pre-reset membrane potential per step
 	StatSteps  int     // forward steps counted
@@ -80,62 +76,13 @@ func NewLIF(vth, decay, beta float32) *LIF {
 // Name implements Layer.
 func (l *LIF) Name() string { return "lif" }
 
-// Forward implements Layer.
-func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.step(x, train, 1)
-}
-
-// ForwardBatch implements BatchLayer: the membrane state takes the
-// batch shape and every sample's neurons advance in one pass. Spike and
-// membrane statistics are normalized per sample so calibration is
-// batch-size invariant.
-func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.step(x, train, x.Shape[0])
-}
-
-// step advances the LIF dynamics one time step over x holding batch
-// samples (batch=1 for the per-sample path).
-func (l *LIF) step(x *tensor.Tensor, train bool, batch int) *tensor.Tensor {
-	if l.v == nil || !tensor.SameShape(l.v, x) {
-		l.v = tensor.New(x.Shape...)
-	}
-	out := tensor.New(x.Shape...)
-	var spikes float64
-	var vSum float64
-	for i, inp := range x.Data {
-		v := l.Decay*l.v.Data[i] + inp
-		vSum += float64(v)
-		if v >= l.VTh {
-			out.Data[i] = 1
-			spikes++
-			v -= l.VTh
-		}
-		l.v.Data[i] = v
-	}
-	if train {
-		// Cache pre-reset potential: reconstruct from post state.
-		pre := tensor.New(x.Shape...)
-		for i := range pre.Data {
-			pre.Data[i] = l.v.Data[i] + out.Data[i]*l.VTh
-		}
-		l.preVs = append(l.preVs, pre)
-	}
-	l.StatSpikes += spikes / float64(batch)
-	l.StatVSum += vSum / float64(x.Len())
-	l.StatSteps++
-	l.StatUnits = x.Len() / batch
-	return out
-}
-
-// forwardArena implements arenaLayer: the membrane persists in the
-// arena (zeroed at pass start) and the spike output overwrites a
-// reusable buffer. The arithmetic is exactly step's, so outputs and
-// calibration statistics are bit-identical to the allocating path.
-func (l *LIF) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	b := batch
-	if b == 0 {
-		b = 1
-	}
+// forward implements Layer: the membrane persists in the arena across
+// the steps of a pass (zeroed at pass start); training also records the
+// step's pre-reset potential for the surrogate gradient.
+//
+//axsnn:hotpath
+func (l *LIF) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
+	batch := x.Shape[0]
 	v := s.stateBufShape(li, slotState, x.Shape)
 	out := s.bufShape(li, slotOut, x.Shape)
 	var spikes float64
@@ -152,39 +99,12 @@ func (l *LIF) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.
 		out.Data[i] = o
 		v.Data[i] = vv
 	}
-	l.StatSpikes += spikes / float64(b)
-	l.StatVSum += vSum / float64(x.Len())
-	l.StatSteps++
-	l.StatUnits = x.Len() / b
-	return out
-}
-
-// ForwardBatchInto implements trainLayer: ForwardBatch(x, true) with
-// the membrane, spike output and per-step pre-reset cache drawn from
-// the training arena. Arithmetic and statistics match step exactly.
-func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	batch := x.Shape[0]
-	v := ts.stateBufShape(li, slotState, x.Shape)
-	out := ts.bufShape(li, slotOut, -1, x.Shape)
-	var spikes float64
-	var vSum float64
-	for i, inp := range x.Data {
-		vv := l.Decay*v.Data[i] + inp
-		vSum += float64(vv)
-		var o float32
-		if vv >= l.VTh {
-			o = 1
-			spikes++
-			vv -= l.VTh
+	if train {
+		// Reconstruct the pre-reset potential from the post state.
+		pre := s.bufShape(li, at(slotPre, t), x.Shape)
+		for i := range pre.Data {
+			pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
 		}
-		out.Data[i] = o
-		v.Data[i] = vv
-	}
-	// Cache pre-reset potential: reconstruct from post state, exactly
-	// like step does, into this step's ring buffer.
-	pre := ts.bufShape(li, slotPre, t, x.Shape)
-	for i := range pre.Data {
-		pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
 	}
 	l.StatSpikes += spikes / float64(batch)
 	l.StatVSum += vSum / float64(x.Len())
@@ -193,17 +113,18 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: Backward against the arena's
-// per-step pre-reset cache. The dL/dV carry updates in place — the
-// allocating path's fresh output plus Clone collapse into one buffer,
-// with identical values (dv reads the previous step's carry element
-// before overwriting it).
-func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth) + λ·carry,
+// with the reset path detached (standard SNN BPTT practice). The dL/dV
+// carry updates in place: dv reads the previous step's carry element
+// before overwriting it.
+//
+//axsnn:hotpath
+func (l *LIF) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
-	pre := ts.bufShape(li, slotPre, t, grad.Shape)
-	carry, fresh := ts.onceShape(li, slotCarry, grad.Shape)
+	pre := s.bufShape(li, at(slotPre, t), grad.Shape)
+	carry, fresh := s.onceShape(li, slotCarry, grad.Shape)
 	for i, g := range grad.Data {
 		u := pre.Data[i] - l.VTh
 		if u < 0 {
@@ -218,49 +139,6 @@ func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int
 		carry.Data[i] = dv
 	}
 	return carry
-}
-
-// BackwardBatch implements BatchLayer: the surrogate gradient is
-// elementwise, so the batched pass is the per-sample pass over the
-// larger state.
-func (l *LIF) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return l.Backward(grad)
-}
-
-// Backward implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth) + λ·carry,
-// with the reset path detached (standard SNN BPTT practice).
-func (l *LIF) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(l.preVs)
-	if n == 0 {
-		panic("snn: LIF.Backward without cached forward step")
-	}
-	pre := l.preVs[n-1]
-	l.preVs = l.preVs[:n-1]
-
-	out := tensor.New(grad.Shape...)
-	hasCarry := l.carry != nil
-	for i, g := range grad.Data {
-		u := pre.Data[i] - l.VTh
-		if u < 0 {
-			u = -u
-		}
-		d := 1 + l.Beta*u
-		surr := l.Beta / (d * d)
-		dv := g * surr
-		if hasCarry {
-			dv += l.Decay * l.carry.Data[i]
-		}
-		out.Data[i] = dv
-	}
-	l.carry = out.Clone()
-	return out
-}
-
-// Reset implements Layer.
-func (l *LIF) Reset() {
-	l.v = nil
-	l.carry = nil
-	l.preVs = l.preVs[:0]
 }
 
 // ResetStats clears the calibration counters.
@@ -284,63 +162,31 @@ func (l *LIF) MeanMembrane() float64 {
 	return l.StatVSum / float64(l.StatSteps)
 }
 
-// Flatten reshapes (C,H,W) inputs to rank-1 vectors.
-type Flatten struct {
-	inShape []int
-}
+// Flatten reshapes (B, d...) inputs to (B, Πd) vectors.
+type Flatten struct{}
 
 // Name implements Layer.
 func (f *Flatten) Name() string { return "flatten" }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
-	return x.Reshape(x.Len())
+// forward implements Layer: a cached header view over the input data —
+// no copy — with the input dims kept for backward.
+//
+//axsnn:hotpath
+func (f *Flatten) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
+	copy(s.intBuf(li, slotDims, len(x.Shape)), x.Shape)
+	return s.view2(li, slotOutView, x.Data, x.Shape[0], x.Len()/x.Shape[0])
 }
 
-// ForwardBatch implements BatchLayer: (B, d...) reshapes to (B, Πd).
-func (f *Flatten) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
-	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
-}
-
-// forwardArena implements arenaLayer: the flattened result is a cached
-// header view over the input data — no copy, no allocation.
-func (f *Flatten) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		return s.view1(li, slotOutView, x.Data, x.Len())
-	}
-	return s.view2(li, slotOutView, x.Data, batch, x.Len()/batch)
-}
-
-// ForwardBatchInto implements trainLayer: a cached header view over the
-// input data, like the inference arena's path.
-func (f *Flatten) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
-	return ts.view2(li, slotOutView, x.Data, x.Shape[0], x.Len()/x.Shape[0])
-}
-
-// BackwardBatchInto implements trainLayer: the gradient viewed in the
-// recorded input shape — no copy, no allocation.
-func (f *Flatten) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer: the gradient viewed in the recorded input
+// shape.
+//
+//axsnn:hotpath
+func (f *Flatten) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
-	return ts.viewShape(li, slotGradView, grad.Data, f.inShape)
+	return s.viewShape(li, slotGradView, grad.Data, s.ints[slotKey{li, slotDims}])
 }
-
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}
-
-// BackwardBatch implements BatchLayer.
-func (f *Flatten) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}
-
-// Reset implements Layer.
-func (f *Flatten) Reset() {}
 
 // shapeStr renders a shape for cold panic messages.
 //

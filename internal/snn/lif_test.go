@@ -6,22 +6,28 @@ import (
 	"repro/internal/tensor"
 )
 
+// lifStep advances l one step over a single-sample batch x.
+func lifStep(l *LIF, s *Scratch, x *tensor.Tensor, t int, train bool) *tensor.Tensor {
+	return l.forward(x, s, 0, t, train)
+}
+
 func TestLIFIntegratesAndFires(t *testing.T) {
 	l := NewLIF(1.0, 1.0, 4) // no leak
-	in := tensor.FromSlice([]float32{0.4}, 1)
+	s := passScratch()
+	in := tensor.FromSlice([]float32{0.4}, 1, 1)
 	// 0.4, 0.8, 1.2 -> fire on third step
 	for step := 0; step < 2; step++ {
-		out := l.Forward(in, false)
+		out := lifStep(l, s, in, step, false)
 		if out.Data[0] != 0 {
 			t.Fatalf("fired too early at step %d", step)
 		}
 	}
-	out := l.Forward(in, false)
+	out := lifStep(l, s, in, 2, false)
 	if out.Data[0] != 1 {
 		t.Fatal("expected spike on third step")
 	}
 	// Soft reset: V = 1.2 - 1.0 = 0.2, next step 0.6 -> no spike.
-	out = l.Forward(in, false)
+	out = lifStep(l, s, in, 3, false)
 	if out.Data[0] != 0 {
 		t.Fatal("soft reset failed")
 	}
@@ -29,10 +35,11 @@ func TestLIFIntegratesAndFires(t *testing.T) {
 
 func TestLIFLeakPreventsFiring(t *testing.T) {
 	l := NewLIF(1.0, 0.5, 4)
-	in := tensor.FromSlice([]float32{0.4}, 1)
+	s := passScratch()
+	in := tensor.FromSlice([]float32{0.4}, 1, 1)
 	// With λ=0.5 the membrane converges to 0.8 < 1.0: never fires.
 	for step := 0; step < 50; step++ {
-		if l.Forward(in, false).Data[0] != 0 {
+		if lifStep(l, s, in, step, false).Data[0] != 0 {
 			t.Fatalf("leaky neuron fired at step %d", step)
 		}
 	}
@@ -40,9 +47,10 @@ func TestLIFLeakPreventsFiring(t *testing.T) {
 
 func TestLIFHighThresholdSilent(t *testing.T) {
 	l := NewLIF(100, 0.9, 4)
-	in := tensor.FromSlice([]float32{1}, 1)
+	s := passScratch()
+	in := tensor.FromSlice([]float32{1}, 1, 1)
 	for step := 0; step < 20; step++ {
-		if l.Forward(in, false).Data[0] != 0 {
+		if lifStep(l, s, in, step, false).Data[0] != 0 {
 			t.Fatal("neuron fired despite huge threshold")
 		}
 	}
@@ -53,9 +61,10 @@ func TestLIFHighThresholdSilent(t *testing.T) {
 
 func TestLIFStats(t *testing.T) {
 	l := NewLIF(0.5, 1.0, 4)
-	in := tensor.FromSlice([]float32{1, 0}, 2)
+	s := passScratch()
+	in := tensor.FromSlice([]float32{1, 0}, 1, 2)
 	for step := 0; step < 4; step++ {
-		l.Forward(in, false)
+		lifStep(l, s, in, step, false)
 	}
 	if l.StatSteps != 4 || l.StatUnits != 2 {
 		t.Fatalf("steps=%d units=%d", l.StatSteps, l.StatUnits)
@@ -70,34 +79,29 @@ func TestLIFStats(t *testing.T) {
 	}
 }
 
+// TestLIFResetClearsMembrane pins that the membrane opens every pass
+// at zero.
 func TestLIFResetClearsMembrane(t *testing.T) {
 	l := NewLIF(1.0, 1.0, 4)
-	in := tensor.FromSlice([]float32{0.9}, 1)
-	l.Forward(in, false)
-	l.Reset()
-	// After reset the membrane restarts from zero: 0.9 < 1.0, no spike.
-	if l.Forward(in, false).Data[0] != 0 {
-		t.Fatal("membrane survived Reset")
+	s := passScratch()
+	in := tensor.FromSlice([]float32{0.9}, 1, 1)
+	lifStep(l, s, in, 0, false)
+	s.begin()
+	// A new pass restarts the membrane from zero: 0.9 < 1.0, no spike.
+	if lifStep(l, s, in, 0, false).Data[0] != 0 {
+		t.Fatal("membrane survived into the next pass")
 	}
-}
-
-func TestLIFBackwardRequiresCache(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Backward without Forward")
-		}
-	}()
-	NewLIF(1, 1, 4).Backward(tensor.New(1))
 }
 
 func TestLIFSurrogatePeaksAtThreshold(t *testing.T) {
 	l := NewLIF(1.0, 1.0, 4)
-	grad := tensor.FromSlice([]float32{1, 1, 1}, 3)
+	s := passScratch()
+	grad := tensor.FromSlice([]float32{1, 1, 1}, 1, 3)
 	// Three neurons at membrane 0.2, 1.0, 1.8: surrogate is largest at
 	// the threshold.
-	in := tensor.FromSlice([]float32{0.2, 1.0, 1.8}, 3)
-	l.Forward(in, true)
-	g := l.Backward(grad)
+	in := tensor.FromSlice([]float32{0.2, 1.0, 1.8}, 1, 3)
+	lifStep(l, s, in, 0, true)
+	g := l.backward(grad, s, 0, 0, true)
 	if !(g.Data[1] > g.Data[0] && g.Data[1] > g.Data[2]) {
 		t.Fatalf("surrogate not peaked at threshold: %v", g.Data)
 	}
@@ -105,16 +109,17 @@ func TestLIFSurrogatePeaksAtThreshold(t *testing.T) {
 
 func TestFlattenRoundTrip(t *testing.T) {
 	f := &Flatten{}
-	x := tensor.New(2, 3, 4)
+	s := passScratch()
+	x := tensor.New(1, 2, 3, 4)
 	for i := range x.Data {
 		x.Data[i] = float32(i)
 	}
-	y := f.Forward(x, true)
-	if y.Rank() != 1 || y.Len() != 24 {
+	y := f.forward(x, s, 0, 0, true)
+	if y.Rank() != 2 || y.Dim(0) != 1 || y.Dim(1) != 24 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
-	g := f.Backward(y)
-	if g.Rank() != 3 || g.Dim(0) != 2 || g.Dim(1) != 3 || g.Dim(2) != 4 {
+	g := f.backward(y, s, 0, 0, true)
+	if g.Rank() != 4 || g.Dim(1) != 2 || g.Dim(2) != 3 || g.Dim(3) != 4 {
 		t.Fatalf("unflatten shape %v", g.Shape)
 	}
 }

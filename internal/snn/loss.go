@@ -6,47 +6,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy returns the cross-entropy loss of logits against
-// label and the gradient dL/dlogits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
-	p := tensor.Softmax(logits)
-	eps := 1e-12
-	loss := -math.Log(math.Max(float64(p.Data[label]), eps))
-	grad := p.Clone()
-	grad.Data[label] -= 1
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyBatch is the batched form: logits is (B, classes),
-// labels[b] the target of sample b. It returns the summed loss and the
-// per-sample gradient rows dL/dlogits (each row identical to what
-// SoftmaxCrossEntropy would return for that sample alone).
-func SoftmaxCrossEntropyBatch(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	if logits.Rank() != 2 || logits.Shape[0] != len(labels) {
-		panic("snn: SoftmaxCrossEntropyBatch logits/labels mismatch")
-	}
-	classes := logits.Shape[1]
-	grad := tensor.New(logits.Shape...)
-	total := 0.0
-	for b, label := range labels {
-		row := tensor.FromSlice(logits.Data[b*classes:(b+1)*classes], classes)
-		loss, g := SoftmaxCrossEntropy(row, label)
-		total += loss
-		copy(grad.Data[b*classes:(b+1)*classes], g.Data)
-	}
-	return total, grad
-}
-
-// SoftmaxCrossEntropyBatchInto is SoftmaxCrossEntropyBatch writing the
-// gradient into the caller-owned (B, classes) tensor grad (which must
-// not alias logits) — the allocation-free form the training arena uses.
-// The per-row arithmetic replicates tensor.Softmax and
-// SoftmaxCrossEntropy exactly (float64 exponential accumulation, then a
-// single float32 normalization), so losses and gradients are
-// bit-identical to the allocating path.
+// SoftmaxCrossEntropyBatchInto returns the summed cross-entropy loss of
+// (B, classes) logits against labels (labels[b] the target of sample
+// b) and writes the per-sample gradient rows dL/dlogits into the
+// caller-owned (B, classes) tensor grad, which must not alias logits.
+// Each row is computed like tensor.Softmax — float64 exponential
+// accumulation, then a single float32 normalization — so it allocates
+// nothing and matches the per-sample definition bit for bit.
 func SoftmaxCrossEntropyBatchInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
 	if logits.Rank() != 2 || logits.Shape[0] != len(labels) {
-		panic("snn: SoftmaxCrossEntropyBatch logits/labels mismatch")
+		panic("snn: SoftmaxCrossEntropyBatchInto logits/labels mismatch")
 	}
 	if !tensor.SameShape(grad, logits) {
 		panic("snn: SoftmaxCrossEntropyBatchInto grad/logits shape mismatch")
@@ -77,13 +46,4 @@ func SoftmaxCrossEntropyBatchInto(logits *tensor.Tensor, labels []int, grad *ten
 		grow[label] -= 1
 	}
 	return total
-}
-
-// NegTargetLoss returns a loss whose *descent* direction reduces the
-// target class probability — attacks maximize the true-class loss, which
-// is the same gradient with opposite sign. Provided for readability in
-// attack code: gradient ascent on SoftmaxCrossEntropy(label).
-func NegTargetLoss(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
-	loss, grad := SoftmaxCrossEntropy(logits, label)
-	return -loss, grad.Scale(-1)
 }

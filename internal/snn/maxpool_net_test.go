@@ -33,25 +33,26 @@ func TestMaxPoolNetworkTrains(t *testing.T) {
 	}
 }
 
-// Max pooling of a binary spike plane stays binary, and caches drain
-// across repeated samples like every other layer.
+// Max pooling of a binary spike plane stays binary, in inference and
+// training passes alike.
 func TestMaxPoolSpikePlaneBinary(t *testing.T) {
 	r := rng.New(54)
 	lif := NewLIF(0.3, 0.9, 4)
 	pool := NewMaxPool(2)
+	s := newScratch()
 	for round := 0; round < 3; round++ {
-		x := tensor.New(1, 8, 8)
+		s.begin()
+		x := tensor.New(1, 1, 8, 8)
 		for i := range x.Data {
 			x.Data[i] = r.Float32()
 		}
-		spikes := lif.Forward(x, false)
-		out := pool.Forward(spikes, false)
+		train := round == 1
+		spikes := lif.forward(x, s, 0, 0, train)
+		out := pool.forward(spikes, s, 1, 0, train)
 		for _, v := range out.Data {
 			if v != 0 && v != 1 {
 				t.Fatalf("pooled spike plane not binary: %v", v)
 			}
 		}
-		lif.Reset()
-		pool.Reset()
 	}
 }

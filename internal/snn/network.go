@@ -22,26 +22,15 @@ func DefaultConfig(vth float32, steps int) Config {
 	return Config{VTh: vth, Steps: steps, Decay: 0.9, Beta: 4}
 }
 
-// Network is an ordered stack of layers processing one sample as
+// Network is an ordered stack of layers processing samples as
 // Config.Steps time steps. The final layer acts as a non-spiking readout:
 // its per-step outputs are accumulated into logits.
 type Network struct {
 	Cfg    Config
 	Layers []Layer
 
-	// Inference-arena bookkeeping (arena.go): parked scratch arenas and
-	// the cached arena-capable layer view.
-	scratchFree []*Scratch
-	arenaLs     []arenaLayer
-	arenaInit   bool
-
-	// Training-arena bookkeeping (train_arena.go): parked train arenas,
-	// the cached train-capable layer view, and the lowest parameter
-	// layer index (layers at or below it skip input-gradient work).
-	trainFree  []*TrainScratch
-	trainLs    []trainLayer
-	trainInit  bool
-	paramFloor int
+	// free parks released arenas (arena.go) for the next AcquireScratch.
+	free []*Scratch
 
 	// Inference precision tier (tier.go): FP32 exact or INT8 quantized.
 	tier PrecisionTier
@@ -50,13 +39,6 @@ type Network struct {
 // NewNetwork assembles a network from layers.
 func NewNetwork(cfg Config, layers ...Layer) *Network {
 	return &Network{Cfg: cfg, Layers: layers}
-}
-
-// Reset clears all layer state (membranes, caches, dropout masks).
-func (n *Network) Reset() {
-	for _, l := range n.Layers {
-		l.Reset()
-	}
 }
 
 // ResetStats clears LIF calibration statistics network-wide.
@@ -68,74 +50,92 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// StepForward runs one time step through all layers.
-func (n *Network) StepForward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// StepBackward runs one reverse time step, returning the gradient w.r.t.
-// this step's input frame.
-func (n *Network) StepBackward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Forward processes a full sample (frames[t] is the input at step t; if
-// fewer frames than Steps are supplied the last frame repeats, and a
-// single frame means a static image presented every step). It returns the
-// accumulated readout logits.
-func (n *Network) Forward(frames []*tensor.Tensor, train bool) *tensor.Tensor {
-	if len(frames) == 0 {
-		panic("snn: Forward with no input frames")
-	}
-	n.Reset()
-	var logits *tensor.Tensor
-	for t := 0; t < n.Cfg.Steps; t++ {
-		f := frames[min(t, len(frames)-1)]
-		out := n.StepForward(f, train)
-		if logits == nil {
-			logits = tensor.New(out.Shape...)
-		}
-		logits.Add(out)
-	}
-	return logits
-}
-
-// Backward completes BPTT after a training Forward: gradLogits is
-// dL/d(accumulated logits); since logits = Σ_t out_t, every reverse step
-// receives the same top gradient. It returns per-step input gradients in
-// forward order (index t), which attacks use to reach the pixels.
-func (n *Network) Backward(gradLogits *tensor.Tensor) []*tensor.Tensor {
-	grads := make([]*tensor.Tensor, n.Cfg.Steps)
-	for t := n.Cfg.Steps - 1; t >= 0; t-- {
-		grads[t] = n.StepBackward(gradLogits.Clone())
-	}
-	return grads
-}
-
-// Predict returns the argmax class for a sample. Built-in layer stacks
-// run against a reusable inference arena (see arena.go), which makes the
-// steady-state hot path allocation-free; networks with custom layers
-// fall back to the allocating Forward. Results are identical either way.
+// Predict returns the argmax class for one sample (frames[t] is the
+// input at step t; if fewer frames than Steps are supplied the last
+// frame repeats, and a single frame means a static image presented
+// every step). It is a batch of one through the same arena pass as
+// PredictBatch, so the steady state allocates nothing.
 func (n *Network) Predict(frames []*tensor.Tensor) int {
-	if n.arenaCapable() {
-		s := n.AcquireScratch()
-		defer n.Release(s)
-		return n.forwardScratch(frames, s, 0).Argmax()
-	}
-	return n.Forward(frames, false).Argmax()
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	s.one[0] = frames
+	return n.forwardPass(s, s.one[:], false).Argmax()
 }
 
-// PredictScratch is Predict against a caller-held arena, for long
-// evaluation loops that want to amortize even the acquire/release pair.
-// The network must be arena-capable (all built-in layers are).
-func (n *Network) PredictScratch(frames []*tensor.Tensor, s *Scratch) int {
-	return n.forwardScratch(frames, s, 0).Argmax()
+// Logits returns a fresh copy of one sample's accumulated readout
+// logits, shape (classes) — Predict's pass without the argmax.
+func (n *Network) Logits(frames []*tensor.Tensor) *tensor.Tensor {
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	s.one[0] = frames
+	out := n.forwardPass(s, s.one[:], false)
+	return tensor.FromSlice(append([]float32(nil), out.Data...), out.Len())
+}
+
+// PredictBatch returns the argmax class of every sample in one batched
+// pass. Frames are stacked step by step into one reused buffer and
+// every layer draws its working memory from the network's arena, so
+// the steady state allocates nothing but the result slice.
+func (n *Network) PredictBatch(samples [][]*tensor.Tensor) []int {
+	if len(samples) == 0 {
+		return nil
+	}
+	out := make([]int, len(samples))
+	n.PredictBatchInto(samples, out)
+	return out
+}
+
+// PredictBatchInto is PredictBatch writing the predicted classes into a
+// caller-owned slice (len(out) == len(samples)) — the fully
+// allocation-free form of the batched hot path.
+func (n *Network) PredictBatchInto(samples [][]*tensor.Tensor, out []int) {
+	if len(out) != len(samples) {
+		panic(fmt.Sprintf("snn: PredictBatchInto out length %d, want %d", len(out), len(samples))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	if len(samples) == 0 {
+		return
+	}
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	logits := n.forwardPass(s, samples, false)
+	classes := logits.Len() / len(samples)
+	for b := range out {
+		row := logits.Data[b*classes : (b+1)*classes]
+		best, bi := row[0], 0
+		for j, v := range row {
+			if v > best {
+				best, bi = v, j
+			}
+		}
+		out[b] = bi
+	}
+}
+
+// StackFrames assembles per-sample frame sequences into per-step
+// batched tensors: out[t] has shape (B, frame shape...). A sample with
+// fewer frames than steps contributes its last frame to the remaining
+// steps (the same repeat rule as Predict); a sample with a single frame
+// is a static image presented every step.
+func StackFrames(samples [][]*tensor.Tensor, steps int) []*tensor.Tensor {
+	if len(samples) == 0 {
+		panic("snn: StackFrames with no samples")
+	}
+	batch := len(samples)
+	shape := samples[0][0].Shape
+	per := samples[0][0].Len()
+	out := make([]*tensor.Tensor, steps)
+	for t := 0; t < steps; t++ {
+		f := tensor.New(append([]int{batch}, shape...)...)
+		for b, fr := range samples {
+			src := fr[min(t, len(fr)-1)]
+			if src.Len() != per {
+				panic(fmt.Sprintf("snn: StackFrames sample %d frame size %d, want %d", b, src.Len(), per)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+			}
+			copy(f.Data[b*per:(b+1)*per], src.Data)
+		}
+		out[t] = f
+	}
+	return out
 }
 
 // ParamLayers returns the layers holding trainable parameters.
@@ -167,10 +167,18 @@ func (n *Network) Grads() []*tensor.Tensor {
 	return out
 }
 
-// ZeroGrads clears every gradient tensor.
+// ZeroGrads clears every gradient tensor (allocation-free, so arena
+// passes can call it per batch).
 func (n *Network) ZeroGrads() {
-	for _, g := range n.Grads() {
-		g.Zero()
+	for _, l := range n.Layers {
+		switch v := l.(type) {
+		case *Conv2D:
+			v.dW.Zero()
+			v.dB.Zero()
+		case *Dense:
+			v.dW.Zero()
+			v.dB.Zero()
+		}
 	}
 }
 
@@ -195,10 +203,10 @@ func (n *Network) SetVTh(vth float32) {
 }
 
 // CloneArchitecture builds a structurally identical network with *shared*
-// parameter tensors but independent state/caches/masks/grad buffers. Use
-// it to evaluate one trained model concurrently from several goroutines:
-// workers may run Forward/Backward freely as long as nobody writes to the
-// shared weights. The precision tier and any int8 panels carry over:
+// parameter tensors but independent arenas, statistics and gradient
+// buffers. Use it to evaluate one trained model concurrently from
+// several goroutines: workers may run passes freely as long as nobody
+// writes to the shared weights. The precision tier and any int8 panels carry over:
 // panels are shared read-only, scratch is per-clone.
 func (n *Network) CloneArchitecture() *Network {
 	out := &Network{Cfg: n.Cfg, tier: n.tier}

@@ -89,7 +89,7 @@ func TestForwardPanicsOnEmptyInput(t *testing.T) {
 	}()
 	r := rng.New(14)
 	net := DenseNet(DefaultConfig(1, 4), 4, 8, 2, r)
-	net.Forward(nil, false)
+	net.Predict(nil)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -233,18 +233,19 @@ func TestCalibratePopulatesStats(t *testing.T) {
 func TestDropoutTrainVsEval(t *testing.T) {
 	r := rng.New(26)
 	d := NewDropout(0.5, r)
-	x := tensor.New(1000)
+	x := tensor.New(1, 1000)
 	x.Fill(1)
+	s := passScratch()
 	// Eval: identity.
-	y := d.Forward(x, false)
+	y := d.forward(x, s, 0, 0, false)
 	for _, v := range y.Data {
 		if v != 1 {
 			t.Fatal("dropout must be identity in eval mode")
 		}
 	}
 	// Train: ~half dropped, survivors scaled by 2.
-	d.Reset()
-	y = d.Forward(x, true)
+	s.begin()
+	y = d.forward(x, s, 0, 0, true).Clone()
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -259,16 +260,16 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	if zeros < 350 || zeros > 650 {
 		t.Fatalf("dropout rate off: %d/1000 dropped", zeros)
 	}
-	// Mask persists across steps within one sample.
-	y2 := d.Forward(x, true)
+	// Mask persists across steps within one pass.
+	y2 := d.forward(x, s, 0, 1, true)
 	for i := range y.Data {
 		if y.Data[i] != y2.Data[i] {
 			t.Fatal("dropout mask must persist across time steps")
 		}
 	}
-	// And is redrawn after Reset.
-	d.Reset()
-	y3 := d.Forward(x, true)
+	// And is redrawn for the next pass.
+	s.begin()
+	y3 := d.forward(x, s, 0, 0, true)
 	same := true
 	for i := range y.Data {
 		if y.Data[i] != y3.Data[i] {
@@ -277,7 +278,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("dropout mask must be redrawn after Reset")
+		t.Fatal("dropout mask must be redrawn every pass")
 	}
 }
 
@@ -292,20 +293,20 @@ func TestSGDAndAdamReduceLoss(t *testing.T) {
 		for i := range img.Data {
 			img.Data[i] = r.Float32()
 		}
-		frames := []*tensor.Tensor{img}
-		label := 2
+		samples := [][]*tensor.Tensor{{img}}
+		labels := []int{2}
+		s := n.AcquireScratch()
 		first, last := 0.0, 0.0
 		for it := 0; it < 40; it++ {
-			logits := n.Forward(frames, true)
-			loss, g := SoftmaxCrossEntropy(logits, label)
+			n.ZeroGrads()
+			loss := n.TrainStepScratch(samples, labels, s)
 			if it == 0 {
 				first = loss
 			}
 			last = loss
-			n.ZeroGrads()
-			n.Backward(g)
 			opt.Step(n.Params(), n.Grads(), 1)
 		}
+		n.Release(s)
 		if last >= first {
 			t.Fatalf("%s: loss did not decrease (%.4f -> %.4f)", name, first, last)
 		}

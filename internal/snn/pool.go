@@ -7,8 +7,7 @@ import (
 
 // AvgPool is non-overlapping average pooling with window K.
 type AvgPool struct {
-	K      int
-	inDims [][3]int // cached (C,H,W) per step
+	K int
 }
 
 // NewAvgPool returns an average-pooling layer with window k.
@@ -17,40 +16,21 @@ func NewAvgPool(k int) *AvgPool { return &AvgPool{K: k} }
 // Name implements Layer.
 func (p *AvgPool) Name() string { return "avgpool" }
 
-// Forward implements Layer.
-func (p *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		p.inDims = append(p.inDims, [3]int{x.Shape[0], x.Shape[1], x.Shape[2]})
-	}
-	return tensor.AvgPool2D(x, p.K)
+// poolDims records a (B,C,H,W) input's per-sample dims for backward and
+// returns them with the pooled output size.
+func poolDims(x *tensor.Tensor, s *Scratch, li, k int) (b, c, h, w, oh, ow int) {
+	b, c, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	dims := s.intBuf(li, slotDims, 3)
+	dims[0], dims[1], dims[2] = c, h, w
+	return b, c, h, w, (h + k - 1) / k, (w + k - 1) / k
 }
 
-// ForwardBatch implements BatchLayer: samples pool independently.
-func (p *AvgPool) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if train {
-		p.inDims = append(p.inDims, [3]int{c, h, w})
-	}
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := tensor.New(batch, c, oh, ow)
-	for b := 0; b < batch; b++ {
-		po := tensor.AvgPool2D(sampleView(x, b), p.K)
-		copy(out.Data[b*c*oh*ow:(b+1)*c*oh*ow], po.Data)
-	}
-	return out
-}
-
-// forwardArena implements arenaLayer: samples pool directly into one
-// reused output tensor through cached sample views.
-func (p *AvgPool) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-		out := s.buf3(li, slotOut, c, (h+p.K-1)/p.K, (w+p.K-1)/p.K)
-		tensor.AvgPool2DInto(out, x, p.K)
-		return out
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
+// forward implements Layer: samples pool independently into one reused
+// output tensor through cached sample views.
+//
+//axsnn:hotpath
+func (p *AvgPool) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
+	b, c, h, w, oh, ow := poolDims(x, s, li, p.K)
 	out := s.buf4(li, slotOut, b, c, oh, ow)
 	for bi := 0; bi < b; bi++ {
 		sv := s.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
@@ -60,85 +40,30 @@ func (p *AvgPool) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *ten
 	return out
 }
 
-// ForwardBatchInto implements trainLayer: samples pool into one reused
-// output tensor; the input dims the backward needs live in the arena.
-func (p *AvgPool) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	dims := ts.ints(li, slotDims, -1, 3)
-	dims[0], dims[1], dims[2] = c, h, w
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := ts.buf4(li, slotOut, -1, b, c, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		sv := ts.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := ts.view3(li, slotOutView, out.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
-		tensor.AvgPool2DInto(dv, sv, p.K)
-	}
-	return out
-}
-
-// BackwardBatchInto implements trainLayer: BackwardBatch scattering
-// directly into one reused input-shaped tensor.
-func (p *AvgPool) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer: the gradient spreads evenly over each
+// window, scattered into one reused input-shaped tensor.
+//
+//axsnn:hotpath
+func (p *AvgPool) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
-	dims := ts.ints(li, slotDims, -1, 3)
+	dims := s.intBuf(li, slotDims, 3)
 	c, h, w := dims[0], dims[1], dims[2]
 	batch := grad.Shape[0]
 	oh, ow := grad.Shape[2], grad.Shape[3]
-	out := ts.buf4(li, slotGrad, -1, batch, c, h, w)
+	out := s.buf4(li, slotGrad, batch, c, h, w)
 	for bi := 0; bi < batch; bi++ {
-		gv := ts.view3(li, slotInView, grad.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
-		dv := ts.view3(li, slotOutView, out.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
+		gv := s.view3(li, slotInView, grad.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
+		dv := s.view3(li, slotOutView, out.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
 		tensor.AvgPool2DBackwardInto(dv, gv, p.K)
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (p *AvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.inDims)
-	if n == 0 {
-		panic("snn: AvgPool.Backward without cached forward step")
-	}
-	d := p.inDims[n-1]
-	p.inDims = p.inDims[:n-1]
-	return tensor.AvgPool2DBackward(grad, p.K, d[1], d[2])
-}
-
-// BackwardBatch implements BatchLayer.
-func (p *AvgPool) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.inDims)
-	if n == 0 {
-		panic("snn: AvgPool.Backward without cached forward step")
-	}
-	d := p.inDims[n-1]
-	p.inDims = p.inDims[:n-1]
-	batch := grad.Shape[0]
-	out := tensor.New(batch, d[0], d[1], d[2])
-	chw := d[0] * d[1] * d[2]
-	for b := 0; b < batch; b++ {
-		dx := tensor.AvgPool2DBackward(sampleView(grad, b), p.K, d[1], d[2])
-		copy(out.Data[b*chw:(b+1)*chw], dx.Data)
-	}
-	return out
-}
-
-// Reset implements Layer.
-func (p *AvgPool) Reset() { p.inDims = p.inDims[:0] }
-
-// sampleView returns sample b of a batched (B, d...) tensor as a view
-// with the batch axis stripped; no data is copied.
-func sampleView(x *tensor.Tensor, b int) *tensor.Tensor {
-	per := x.Len() / x.Shape[0]
-	return tensor.FromSlice(x.Data[b*per:(b+1)*per], x.Shape[1:]...)
-}
-
 // MaxPool is non-overlapping max pooling with window K.
 type MaxPool struct {
-	K      int
-	args   [][]int
-	inDims [][3]int
+	K int
 }
 
 // NewMaxPool returns a max-pooling layer with window k.
@@ -147,144 +72,61 @@ func NewMaxPool(k int) *MaxPool { return &MaxPool{K: k} }
 // Name implements Layer.
 func (p *MaxPool) Name() string { return "maxpool" }
 
-// Forward implements Layer.
-func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, arg := tensor.MaxPool2D(x, p.K)
-	if train {
-		p.args = append(p.args, arg)
-		p.inDims = append(p.inDims, [3]int{x.Shape[0], x.Shape[1], x.Shape[2]})
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer: per-sample argmax indices are
-// concatenated in batch order for the backward scatter.
-func (p *MaxPool) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := tensor.New(batch, c, oh, ow)
-	var args []int
-	if train {
-		args = make([]int, 0, batch*c*oh*ow)
-	}
-	for b := 0; b < batch; b++ {
-		po, arg := tensor.MaxPool2D(sampleView(x, b), p.K)
-		copy(out.Data[b*c*oh*ow:(b+1)*c*oh*ow], po.Data)
-		if train {
-			args = append(args, arg...)
-		}
-	}
-	if train {
-		p.args = append(p.args, args)
-		p.inDims = append(p.inDims, [3]int{c, h, w})
-	}
-	return out
-}
-
-// forwardArena implements arenaLayer: inference needs no argmax
-// bookkeeping, so the arena path uses the Into kernel that skips it.
-func (p *MaxPool) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-		out := s.buf3(li, slotOut, c, (h+p.K-1)/p.K, (w+p.K-1)/p.K)
-		tensor.MaxPool2DInto(out, x, p.K)
-		return out
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
+// forward implements Layer. Inference needs no argmax bookkeeping;
+// training records the per-sample argmax indices in the step's int
+// ring for the backward scatter.
+//
+//axsnn:hotpath
+func (p *MaxPool) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
+	b, c, h, w, oh, ow := poolDims(x, s, li, p.K)
+	per := c * oh * ow
 	out := s.buf4(li, slotOut, b, c, oh, ow)
+	var arg []int
+	if train {
+		arg = s.intBuf(li, at(slotArg, t), b*per)
+	}
 	for bi := 0; bi < b; bi++ {
 		sv := s.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := s.view3(li, slotOutView, out.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
-		tensor.MaxPool2DInto(dv, sv, p.K)
+		dv := s.view3(li, slotOutView, out.Data[bi*per:(bi+1)*per], c, oh, ow)
+		if train {
+			tensor.MaxPool2DWithArgInto(dv, arg[bi*per:(bi+1)*per], sv, p.K)
+		} else {
+			tensor.MaxPool2DInto(dv, sv, p.K)
+		}
 	}
 	return out
 }
 
-// ForwardBatchInto implements trainLayer: the per-sample argmax indices
-// land in the arena's per-step int ring instead of a fresh slice.
-func (p *MaxPool) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	dims := ts.ints(li, slotDims, -1, 3)
-	dims[0], dims[1], dims[2] = c, h, w
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	per := c * oh * ow
-	arg := ts.ints(li, slotArg, t, b*per)
-	out := ts.buf4(li, slotOut, -1, b, c, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		sv := ts.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := ts.view3(li, slotOutView, out.Data[bi*per:(bi+1)*per], c, oh, ow)
-		tensor.MaxPool2DWithArgInto(dv, arg[bi*per:(bi+1)*per], sv, p.K)
-	}
-	return out
-}
-
-// BackwardBatchInto implements trainLayer: BackwardBatch routing the
-// gradient through the arena's per-step argmax ring into one reused
-// input-shaped tensor.
-func (p *MaxPool) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer: the gradient routes through the step's
+// argmax indices into one reused input-shaped tensor.
+//
+//axsnn:hotpath
+func (p *MaxPool) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
-	dims := ts.ints(li, slotDims, -1, 3)
+	dims := s.intBuf(li, slotDims, 3)
 	c, h, w := dims[0], dims[1], dims[2]
 	batch := grad.Shape[0]
 	per := grad.Len() / batch
-	arg := ts.ints(li, slotArg, t, batch*per)
-	out := ts.buf4(li, slotGrad, -1, batch, c, h, w)
+	arg := s.intBuf(li, at(slotArg, t), batch*per)
+	out := s.buf4(li, slotGrad, batch, c, h, w)
 	for bi := 0; bi < batch; bi++ {
-		gv := ts.view3(li, slotInView, grad.Data[bi*per:(bi+1)*per], c, grad.Shape[2], grad.Shape[3])
-		dv := ts.view3(li, slotOutView, out.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
+		gv := s.view3(li, slotInView, grad.Data[bi*per:(bi+1)*per], c, grad.Shape[2], grad.Shape[3])
+		dv := s.view3(li, slotOutView, out.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
 		tensor.MaxPool2DBackwardInto(dv, gv, arg[bi*per:(bi+1)*per])
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.args)
-	if n == 0 {
-		panic("snn: MaxPool.Backward without cached forward step")
-	}
-	arg := p.args[n-1]
-	d := p.inDims[n-1]
-	p.args = p.args[:n-1]
-	p.inDims = p.inDims[:n-1]
-	return tensor.MaxPool2DBackward(grad, arg, d[0], d[1], d[2])
-}
-
-// BackwardBatch implements BatchLayer.
-func (p *MaxPool) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.args)
-	if n == 0 {
-		panic("snn: MaxPool.Backward without cached forward step")
-	}
-	arg := p.args[n-1]
-	d := p.inDims[n-1]
-	p.args = p.args[:n-1]
-	p.inDims = p.inDims[:n-1]
-	batch := grad.Shape[0]
-	out := tensor.New(batch, d[0], d[1], d[2])
-	chw := d[0] * d[1] * d[2]
-	per := grad.Len() / batch
-	for b := 0; b < batch; b++ {
-		dx := tensor.MaxPool2DBackward(sampleView(grad, b), arg[b*per:(b+1)*per], d[0], d[1], d[2])
-		copy(out.Data[b*chw:(b+1)*chw], dx.Data)
-	}
-	return out
-}
-
-// Reset implements Layer.
-func (p *MaxPool) Reset() { p.args = p.args[:0]; p.inDims = p.inDims[:0] }
-
 // Dropout zeroes a random unit subset during training, with inverted
-// scaling. The mask is drawn once per sample (on the first step after
-// Reset) and reused across time steps, the convention for SNN training.
+// scaling. The mask is drawn once per pass (on the first training step)
+// and reused across time steps, the convention for SNN training; every
+// sample of the batch draws its own mask.
 type Dropout struct {
 	P float32 // drop probability
 
-	r    *rng.RNG
-	mask *tensor.Tensor
+	r *rng.RNG
 }
 
 // NewDropout returns a dropout layer with drop probability p, drawing
@@ -294,51 +136,22 @@ func NewDropout(p float32, r *rng.RNG) *Dropout { return &Dropout{P: p, r: r} }
 // Name implements Layer.
 func (d *Dropout) Name() string { return "dropout" }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	// Evaluation clones carry no RNG: dropout is then a pass-through even
-	// when caches are being recorded (e.g. attack gradient computation).
-	if !train || d.P <= 0 || d.r == nil {
+// active reports whether the layer drops units in training passes.
+// Evaluation clones carry no RNG, so dropout is a pass-through there
+// even in training mode (attack gradient computation).
+func (d *Dropout) active() bool { return d.P > 0 && d.r != nil }
+
+// forward implements Layer: the identity in inference; in training the
+// pass's mask gates the input into a reused output tensor.
+//
+//axsnn:hotpath
+func (d *Dropout) forward(x *tensor.Tensor, s *Scratch, li, t int, train bool) *tensor.Tensor {
+	if !train || !d.active() {
 		return x
 	}
-	if d.mask == nil || !tensor.SameShape(d.mask, x) {
-		d.mask = tensor.New(x.Shape...)
-		keep := 1 - d.P
-		inv := 1 / keep
-		for i := range d.mask.Data {
-			if d.r.Float32() >= d.P {
-				d.mask.Data[i] = inv
-			}
-		}
-	}
-	out := x.Clone()
-	out.Mul(d.mask)
-	return out
-}
-
-// ForwardBatch implements BatchLayer: the mask matches the batched
-// shape, so every sample draws its own mask, once per network reset.
-func (d *Dropout) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return d.Forward(x, train)
-}
-
-// forwardArena implements arenaLayer: inference dropout is the identity.
-func (d *Dropout) forwardArena(x *tensor.Tensor, _ *Scratch, _, _ int) *tensor.Tensor {
-	return x
-}
-
-// ForwardBatchInto implements trainLayer: the mask is drawn once per
-// pass into an arena buffer (consuming the RNG stream exactly like the
-// allocating path) and applied into a reused output tensor. Evaluation
-// clones carry no RNG, so they pass through like Forward does.
-func (d *Dropout) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	if d.P <= 0 || d.r == nil {
-		return x
-	}
-	mask, fresh := ts.onceShape(li, slotMask, x.Shape)
+	mask, fresh := s.onceShape(li, slotMask, x.Shape)
 	if fresh {
-		keep := 1 - d.P
-		inv := 1 / keep
+		inv := 1 / (1 - d.P)
 		for i := range mask.Data {
 			if d.r.Float32() >= d.P {
 				mask.Data[i] = inv
@@ -347,44 +160,28 @@ func (d *Dropout) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int
 			}
 		}
 	}
-	out := ts.bufShape(li, slotOut, -1, x.Shape)
+	out := s.bufShape(li, slotOut, x.Shape)
 	for i, v := range x.Data {
 		out.Data[i] = v * mask.Data[i]
 	}
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: the pass's mask gates the
-// gradient into a reused buffer.
-func (d *Dropout) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
+// backward implements Layer: the pass's mask gates the gradient into a
+// reused buffer.
+//
+//axsnn:hotpath
+func (d *Dropout) backward(grad *tensor.Tensor, s *Scratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
-	if d.P <= 0 || d.r == nil {
+	if !d.active() {
 		return grad
 	}
-	mask := ts.bufShape(li, slotMask, -1, grad.Shape)
-	out := ts.bufShape(li, slotGrad, -1, grad.Shape)
+	mask := s.bufShape(li, slotMask, grad.Shape)
+	out := s.bufShape(li, slotGrad, grad.Shape)
 	for i, g := range grad.Data {
 		out.Data[i] = g * mask.Data[i]
 	}
 	return out
 }
-
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		return grad
-	}
-	out := grad.Clone()
-	out.Mul(d.mask)
-	return out
-}
-
-// BackwardBatch implements BatchLayer.
-func (d *Dropout) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return d.Backward(grad)
-}
-
-// Reset implements Layer.
-func (d *Dropout) Reset() { d.mask = nil }

@@ -16,12 +16,13 @@ func TestPropLIFOutputsBinary(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		l := NewLIF(0.2+r.Float32()*2, 0.5+r.Float32()*0.5, 4)
-		x := tensor.New(16)
+		x := tensor.New(1, 16)
+		s := passScratch()
 		for step := 0; step < 10; step++ {
 			for i := range x.Data {
 				x.Data[i] = r.NormFloat32() * 2
 			}
-			out := l.Forward(x, false)
+			out := l.forward(x, s, 0, step, false)
 			for _, v := range out.Data {
 				if v != 0 && v != 1 {
 					return false
@@ -48,8 +49,8 @@ func TestPropForwardDeterministic(t *testing.T) {
 			}
 			frames[i] = f
 		}
-		a := net.Forward(frames, false)
-		b := net.Forward(frames, false)
+		a := net.Logits(frames)
+		b := net.Logits(frames)
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
 				return false
@@ -71,20 +72,20 @@ func TestPropMaskSemantics(t *testing.T) {
 		for j := range frames[0].Data {
 			frames[0].Data[j] = r.Float32()
 		}
-		base := net.Forward(frames, false)
+		base := net.Logits(frames)
 
 		d := net.Layers[1].(*Dense)
 		ones := tensor.New(d.W.Shape...)
 		ones.Fill(1)
 		d.Mask = ones
-		withOnes := net.Forward(frames, false)
+		withOnes := net.Logits(frames)
 		for i := range base.Data {
 			if base.Data[i] != withOnes.Data[i] {
 				return false
 			}
 		}
 		d.Mask = tensor.New(d.W.Shape...) // all zeros
-		zeroed := net.Forward(frames, false)
+		zeroed := net.Logits(frames)
 		// First dense layer dead: downstream sees only its bias. The
 		// forward must still run and produce finite logits.
 		for _, v := range zeroed.Data {

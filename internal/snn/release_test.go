@@ -19,7 +19,7 @@ func TestPredictBatchIntoReleasesOnPanic(t *testing.T) {
 	r := rng.New(2)
 	samples := [][]*tensor.Tensor{
 		spikeFrames(r, cfg.Steps, []int{4, 4}),
-		spikeFrames(r, cfg.Steps, []int{2, 4}), // wrong frame size: panics in predictBatchScratch
+		spikeFrames(r, cfg.Steps, []int{2, 4}), // wrong frame size: panics in the forward pass
 	}
 	out := make([]int, len(samples))
 
@@ -31,14 +31,14 @@ func TestPredictBatchIntoReleasesOnPanic(t *testing.T) {
 		}()
 		net.PredictBatchInto(samples, out)
 	}()
-	if got := len(net.scratchFree); got != 1 {
+	if got := len(net.free); got != 1 {
 		t.Fatalf("after a panicking batch, %d arenas parked on the free list, want 1 (deferred Release must run)", got)
 	}
 
 	// The parked arena must still serve correct predictions.
 	good := [][]*tensor.Tensor{samples[0]}
 	net.PredictBatchInto(good, out[:1])
-	if want := net.Forward(samples[0], false).Argmax(); out[0] != want {
+	if want := net.DeepClone().Predict(samples[0]); out[0] != want {
 		t.Fatalf("prediction after recovered panic: %d, want %d", out[0], want)
 	}
 }

@@ -85,8 +85,8 @@ func (n *Network) BuildInt8Panels() error {
 
 // SetTier switches the network's inference tier. TierINT8 requires
 // BuildInt8Panels to have run (and to be re-run after any weight or
-// mask mutation). Training and the allocating legacy forwards always
-// run FP32; the tier governs the arena inference path that Predict,
+// mask mutation). Training, input gradients and Calibrate always run
+// FP32; the tier governs the inference passes that Predict,
 // PredictBatch and the serve/stream tiers ride.
 func (n *Network) SetTier(t PrecisionTier) error {
 	if t == TierINT8 {
@@ -104,7 +104,12 @@ func (n *Network) SetTier(t PrecisionTier) error {
 		}
 	}
 	n.tier = t
-	use := t == TierINT8
+	n.setInt8(t == TierINT8)
+	return nil
+}
+
+// setInt8 flips every weighted layer's int8 latch.
+func (n *Network) setInt8(use bool) {
 	for _, l := range n.Layers {
 		switch v := l.(type) {
 		case *Conv2D:
@@ -113,26 +118,20 @@ func (n *Network) SetTier(t PrecisionTier) error {
 			v.useInt8 = use
 		}
 	}
-	return nil
 }
 
 // Tier returns the network's current inference tier.
 func (n *Network) Tier() PrecisionTier { return n.tier }
 
-// forwardArenaInt8 is Conv2D's quantized arena forward: the same
-// im2row lowering and scatter/bias epilogue as the rows-orient FP32
-// path, with the GEMM swapped for the int8 kernel against the
-// prebuilt panel (which already carries the prune mask, so no effW
-// pass is needed). Always rows-orient: per-row activation quantization
-// is what makes the result batch-shape invariant.
-func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int, out *tensor.Tensor) *tensor.Tensor {
+// forwardInt8 is Conv2D's quantized forward: the same im2row lowering
+// and scatter/bias epilogue as the rows-orient FP32 path, with the GEMM
+// swapped for the int8 kernel against the prebuilt panel (which already
+// carries the prune mask). Always rows-orient: per-row activation
+// quantization is what makes the result batch-shape invariant.
+func (c *Conv2D) forwardInt8(x *tensor.Tensor, s *Scratch, li int, out *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
-	b := batch
-	if b == 0 {
-		b = 1
-	}
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
+	b := x.Shape[0]
+	n := g.OutH() * g.OutW()
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 	rows := s.buf2(li, slotLow, b*n, ckk)
@@ -143,28 +142,5 @@ func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int, o
 	outT := s.buf2(li, slotGemm, b*n, c.OutC)
 	tensor.MatMulInt8Into(outT.Data, rows.Data, b*n, ckk, c.panel.Codes, c.panel.Steps, c.OutC, &c.i8)
 	c.scatterRowsBias(out, outT, b, n)
-	return out
-}
-
-// forwardArenaInt8 is Dense's quantized arena forward: one int8 GEMM
-// against the prebuilt panel (m=1 for the per-sample layout), then the
-// same bias add as the FP32 path.
-func (d *Dense) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		out := s.buf1(li, slotOut, d.Out)
-		tensor.MatMulInt8Into(out.Data, x.Data, 1, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
-		for o := range out.Data {
-			out.Data[o] += d.B.Data[o]
-		}
-		return out
-	}
-	out := s.buf2(li, slotOut, batch, d.Out)
-	tensor.MatMulInt8Into(out.Data, x.Data, batch, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
 	return out
 }

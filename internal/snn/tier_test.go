@@ -63,21 +63,15 @@ func TestInt8TierDeterministic(t *testing.T) {
 
 	// Reference: per-sample logits at one worker.
 	tensor.SetWorkers(1)
-	s := net.AcquireScratch()
 	var want [][]float32
 	for b := range samples {
-		logits := net.forwardScratch(samples[b], s, 0)
-		want = append(want, append([]float32(nil), logits.Data...))
+		want = append(want, net.Logits(samples[b]).Data)
 	}
-	net.Release(s)
 
 	for _, workers := range []int{1, 2, 4} {
 		tensor.SetWorkers(workers)
 		// Full batch: every sample's row must equal its solo logits.
-		s := net.AcquireScratch()
-		out := make([]int, batch)
-		net.predictBatchScratch(samples, s, out)
-		logits := s.bufShape(netLayer, slotLogits, []int{batch, len(want[0])})
+		logits := batchLogits(net, samples)
 		for b := range samples {
 			row := logits.Data[b*len(want[0]) : (b+1)*len(want[0])]
 			for j, v := range row {
@@ -87,7 +81,6 @@ func TestInt8TierDeterministic(t *testing.T) {
 				}
 			}
 		}
-		net.Release(s)
 	}
 }
 
@@ -104,16 +97,13 @@ func TestInt8TierClonePropagation(t *testing.T) {
 	}
 	r := rng.New(29)
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
-	s1, s2 := net.AcquireScratch(), clone.AcquireScratch()
-	a := net.forwardScratch(frames, s1, 0)
-	b := clone.forwardScratch(frames, s2, 0)
+	a := net.Logits(frames)
+	b := clone.Logits(frames)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("clone logit %d: %v vs %v", i, b.Data[i], a.Data[i])
 		}
 	}
-	net.Release(s1)
-	clone.Release(s2)
 
 	// DeepClone is for mutation: it must NOT carry panels or tier.
 	deep := net.DeepClone()
@@ -137,17 +127,14 @@ func TestInt8TierTracksFP32(t *testing.T) {
 		if err := net.SetTier(TierFP32); err != nil {
 			t.Fatal(err)
 		}
-		s := net.AcquireScratch()
-		ref := net.forwardScratch(frames, s, 0)
-		refData := append([]float32(nil), ref.Data...)
+		ref := net.Logits(frames)
+		refData := ref.Data
 		refClass := ref.Argmax()
-		net.Release(s)
 
 		if err := net.SetTier(TierINT8); err != nil {
 			t.Fatal(err)
 		}
-		s = net.AcquireScratch()
-		q := net.forwardScratch(frames, s, 0)
+		q := net.Logits(frames)
 		var maxAbs, maxDiff float64
 		for i := range refData {
 			if a := math.Abs(float64(refData[i])); a > maxAbs {
@@ -176,12 +163,11 @@ func TestInt8TierTracksFP32(t *testing.T) {
 			t.Fatalf("trial %d: INT8 argmax %d vs FP32 %d despite margin %v > drift %v",
 				trial, q.Argmax(), refClass, top-second, maxDiff)
 		}
-		net.Release(s)
 	}
 }
 
-// The INT8 arena path must allocate nothing in the steady state, like
-// the FP32 path it shadows.
+// The INT8 inference pass must allocate nothing in the steady state,
+// like the FP32 pass it shadows.
 func TestInt8TierZeroAllocSteadyState(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
@@ -191,14 +177,12 @@ func TestInt8TierZeroAllocSteadyState(t *testing.T) {
 	}
 	r := rng.New(53)
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
-	s := net.AcquireScratch()
-	defer net.Release(s)
-	net.PredictScratch(frames, s) // warm shapes and scratch
+	net.Predict(frames) // warm shapes and scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		net.PredictScratch(frames, s)
+		net.Predict(frames)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state INT8 PredictScratch allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state INT8 Predict allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -46,83 +46,29 @@ func clipGradients(grads []*tensor.Tensor, clip float64) {
 	}
 }
 
-// disableTrainArena is a test hook: when set, Train/TrainFrames run the
-// allocating minibatch path even on arena-capable networks, which the
-// equivalence tests use as the bit-identity reference.
-var disableTrainArena bool
-
-// trainStep runs one minibatch (forward, loss, backward) and returns
-// the summed loss. With a training arena the whole step draws from
-// reusable buffers (zero steady-state allocations); otherwise batchable
-// networks take the allocating batched path: one ForwardBatch/
-// BackwardBatch per minibatch instead of per-sample loops. Gradients
-// accumulate the same per-sample terms every way; only the float32
-// summation order across samples differs between batched and
-// per-sample (arena and allocating batched are bit-identical).
-func trainStep(n *Network, samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
-	if ts != nil {
-		return n.TrainStepScratch(samples, labels, ts)
-	}
-	if n.Batchable() {
-		logits := n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), true)
-		loss, grad := SoftmaxCrossEntropyBatch(logits, labels)
-		n.BackwardBatch(grad)
-		return loss
-	}
-	total := 0.0
-	for i, fr := range samples {
-		logits := n.Forward(fr, true)
-		loss, grad := SoftmaxCrossEntropy(logits, labels[i])
-		total += loss
-		n.Backward(grad)
-	}
-	return total
-}
-
-// acquireTrainArena returns the training arena Train/TrainFrames use,
-// or nil when the network cannot run on it (custom layers) or the test
-// hook forces the allocating reference path.
-func acquireTrainArena(n *Network) *TrainScratch {
-	if disableTrainArena || !n.TrainArenaCapable() {
-		return nil
-	}
-	return n.AcquireTrainScratch()
-}
-
-// minibatchUpdate applies the post-step bookkeeping shared by Train and
-// TrainFrames: gradient clipping and one optimizer step, via the
-// arena's cached tensor lists when one is in play.
-func minibatchUpdate(n *Network, ts *TrainScratch, opt TrainOptions, batch int) {
-	if ts != nil {
-		clipGradients(ts.Grads(), opt.ClipNorm)
-		opt.Optimizer.Step(ts.Params(), ts.Grads(), 1/float32(batch))
-		return
-	}
-	clipGradients(n.Grads(), opt.ClipNorm)
-	opt.Optimizer.Step(n.Params(), n.Grads(), 1/float32(batch))
-}
-
-// zeroGrads clears the gradients through the arena's cached list when
-// available.
-func zeroGrads(n *Network, ts *TrainScratch) {
-	if ts != nil {
-		ts.ZeroGrads()
-		return
-	}
+// minibatch runs one training minibatch against the fit's arena —
+// zero the gradients, forward, loss, BPTT, clip, optimizer step — and
+// returns the summed loss.
+func minibatch(n *Network, s *Scratch, params, grads []*tensor.Tensor, samples [][]*tensor.Tensor, labels []int, opt TrainOptions) float64 {
 	n.ZeroGrads()
+	loss := n.TrainStepScratch(samples, labels, s)
+	clipGradients(grads, opt.ClipNorm)
+	opt.Optimizer.Step(params, grads, 1/float32(len(samples)))
+	return loss
 }
 
 // Train fits the network on a static image dataset with BPTT, one
-// batched BPTT pass per minibatch. Built-in layer stacks run against a
-// training arena acquired for the whole fit, so the per-minibatch
-// steady state (stacking, forward, loss, backward, clipping, optimizer
-// step) allocates no tensors; only the per-sample encoding still does.
+// batched BPTT pass per minibatch against an arena acquired for the
+// whole fit, so the per-minibatch steady state (stacking, forward,
+// loss, backward, clipping, optimizer step) allocates no tensors; only
+// the per-sample encoding still does.
 func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 16
 	}
-	ts := acquireTrainArena(n)
-	defer n.ReleaseTrain(ts)
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	params, grads := n.Params(), n.Grads()
 	r := rng.New(opt.Seed)
 	idx := make([]int, train.Len())
 	for i := range idx {
@@ -140,13 +86,11 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 			}
 			samples, labels = samples[:0], labels[:0]
 			for _, i := range idx[b:end] {
-				s := train.Samples[i]
-				samples = append(samples, opt.Encoder.Encode(s.Image, n.Cfg.Steps, r))
-				labels = append(labels, s.Label)
+				sample := train.Samples[i]
+				samples = append(samples, opt.Encoder.Encode(sample.Image, n.Cfg.Steps, r))
+				labels = append(labels, sample.Label)
 			}
-			zeroGrads(n, ts)
-			totalLoss += trainStep(n, samples, labels, ts)
-			minibatchUpdate(n, ts, opt, end-b)
+			totalLoss += minibatch(n, s, params, grads, samples, labels, opt)
 		}
 		if opt.OnEpoch != nil {
 			opt.OnEpoch(epoch, totalLoss/float64(len(idx)))
@@ -156,14 +100,15 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 
 // TrainFrames fits the network on a pre-voxelized frame dataset (the DVS
 // path): samples[i] is the frame sequence, labels[i] the class. Like
-// Train, built-in layer stacks run the whole fit against one training
-// arena, making the steady-state minibatch cycle allocation-free.
+// Train, the whole fit runs against one arena, making the steady-state
+// minibatch cycle allocation-free.
 func TrainFrames(n *Network, samples [][]*tensor.Tensor, labels []int, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 8
 	}
-	ts := acquireTrainArena(n)
-	defer n.ReleaseTrain(ts)
+	s := n.AcquireScratch()
+	defer n.Release(s)
+	params, grads := n.Params(), n.Grads()
 	r := rng.New(opt.Seed)
 	idx := make([]int, len(samples))
 	for i := range idx {
@@ -184,9 +129,7 @@ func TrainFrames(n *Network, samples [][]*tensor.Tensor, labels []int, opt Train
 				batch = append(batch, samples[i])
 				blabels = append(blabels, labels[i])
 			}
-			zeroGrads(n, ts)
-			totalLoss += trainStep(n, batch, blabels, ts)
-			minibatchUpdate(n, ts, opt, end-b)
+			totalLoss += minibatch(n, s, params, grads, batch, blabels, opt)
 		}
 		if opt.OnEpoch != nil {
 			opt.OnEpoch(epoch, totalLoss/float64(len(idx)))
@@ -316,22 +259,67 @@ func AccuracyParallel(n *Network, test *dataset.Set, enc encoding.Encoder, seed 
 }
 
 // InputGradient computes dL/dframe_t for a sample, the quantity attacks
-// need. It runs on a weight-sharing evaluation clone so that (a) dropout
-// stays disabled even though caching requires a training-mode forward,
-// and (b) the caller's network keeps clean state and zero gradients.
+// need: a batch of one through InputGradientBatch's pass. The returned
+// per-step gradients have the input frame shape.
 func InputGradient(n *Network, frames []*tensor.Tensor, label int) []*tensor.Tensor {
-	clone := n.CloneArchitecture()
-	logits := clone.Forward(frames, true)
-	_, grad := SoftmaxCrossEntropy(logits, label)
-	return clone.Backward(grad)
+	grads := inputGradients(n, [][]*tensor.Tensor{frames}, []int{label})
+	for _, g := range grads {
+		g.Shape = g.Shape[1:]
+	}
+	return grads
 }
 
-// Calibrate runs the network in training=false mode over calibration
-// samples to populate LIF spike/membrane statistics (used by the
-// approximation-level equation). Statistics are reset first.
+// InputGradientBatch computes dL/dframe_t for a batch of samples in one
+// BPTT pass — the attack-crafting hot path. frames[t] is (B, sample
+// shape...); labels[b] is the loss label of sample b. The returned
+// grads[t] is the batched gradient at step t.
+func InputGradientBatch(n *Network, frames []*tensor.Tensor, labels []int) []*tensor.Tensor {
+	batch := frames[0].Shape[0]
+	per := frames[0].Len() / batch
+	samples := make([][]*tensor.Tensor, batch)
+	for b := range samples {
+		samples[b] = make([]*tensor.Tensor, len(frames))
+		for t, f := range frames {
+			samples[b][t] = tensor.FromSlice(f.Data[b*per:(b+1)*per], f.Shape[1:]...)
+		}
+	}
+	return inputGradients(n, samples, labels)
+}
+
+// inputGradients runs the input-gradient pass on a weight-sharing
+// evaluation clone, so that (a) dropout stays disabled even though the
+// pass is a training-mode forward, and (b) the caller's network keeps
+// clean statistics and zero gradients. It returns fresh copies of the
+// per-step gradients.
+func inputGradients(n *Network, samples [][]*tensor.Tensor, labels []int) []*tensor.Tensor {
+	clone := n.CloneArchitecture()
+	s := clone.AcquireScratch()
+	defer clone.Release(s)
+	logits := clone.forwardPass(s, samples, true)
+	_, grad := s.lossGrad(logits, labels)
+	clone.backwardPass(grad, s, true)
+	grads := make([]*tensor.Tensor, n.Cfg.Steps)
+	for t := range grads {
+		grads[t] = s.stepGrad(t).Clone()
+	}
+	return grads
+}
+
+// Calibrate runs the network in inference mode over calibration
+// samples, one at a time, to populate LIF spike/membrane statistics
+// (used by the approximation-level equation). Statistics are reset
+// first. Calibration measures the FP32 dynamics whatever the network's
+// serving tier.
 func Calibrate(n *Network, frames [][]*tensor.Tensor) {
 	n.ResetStats()
+	if n.tier == TierINT8 {
+		n.setInt8(false)
+		defer n.setInt8(true)
+	}
+	s := n.AcquireScratch()
+	defer n.Release(s)
 	for _, f := range frames {
-		n.Forward(f, false)
+		s.one[0] = f
+		n.forwardPass(s, s.one[:], false)
 	}
 }

@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/encoding"
@@ -9,7 +10,7 @@ import (
 )
 
 // trainCase builds numerically identical network instances on demand so
-// the arena and the allocating reference path can train twins.
+// twin networks can be trained side by side.
 type trainCase struct {
 	name    string
 	build   func() *Network
@@ -45,17 +46,17 @@ func mustMatchTensors(t *testing.T, label string, want, got []*tensor.Tensor) {
 	}
 }
 
-// TestTrainStepScratchMatchesBatch pins the arena minibatch step —
-// loss, accumulated gradients and optimizer-updated weights — to the
-// allocating ForwardBatch/BackwardBatch path, across changing batch
-// sizes and at 1..N workers.
+// TestTrainStepScratchMatchesBatch pins arena reuse across training
+// minibatches: one arena carried across changing batch sizes must yield
+// the loss, accumulated gradients and optimizer-updated weights of a
+// twin that opens a fresh arena for every minibatch, at 1..N workers.
 func TestTrainStepScratchMatchesBatch(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 3} {
 		tensor.SetWorkers(workers)
 		for _, tc := range trainCases() {
 			ref, arena := tc.build(), tc.build()
-			ts := arena.AcquireTrainScratch()
+			ts := arena.AcquireScratch()
 			optR, optA := NewAdam(2e-3), NewAdam(2e-3)
 			r := rng.New(21)
 			for step := 0; step < 4; step++ {
@@ -67,11 +68,9 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 					labels[b] = b % tc.classes
 				}
 				ref.ZeroGrads()
-				logits := ref.ForwardBatch(StackFrames(samples, ref.Cfg.Steps), true)
-				lossR, grad := SoftmaxCrossEntropyBatch(logits, labels)
-				ref.BackwardBatch(grad)
+				lossR := ref.TrainStepScratch(samples, labels, newScratch())
 
-				ts.ZeroGrads()
+				arena.ZeroGrads()
 				lossA := arena.TrainStepScratch(samples, labels, ts)
 
 				if lossR != lossA {
@@ -80,82 +79,18 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 				mustMatchTensors(t, tc.name+" grads", ref.Grads(), arena.Grads())
 
 				optR.Step(ref.Params(), ref.Grads(), 1/float32(batch))
-				optA.Step(ts.Params(), ts.Grads(), 1/float32(batch))
+				optA.Step(arena.Params(), arena.Grads(), 1/float32(batch))
 				mustMatchTensors(t, tc.name+" params", ref.Params(), arena.Params())
 			}
-			arena.ReleaseTrain(ts)
+			arena.Release(ts)
 		}
 	}
-}
-
-// TestTrainMatchesAllocatingPath trains twin networks over several
-// epochs — one through the arena, one through the seed allocating path
-// (the disableTrainArena hook) — and requires bit-identical weights, at
-// 1..N workers.
-func TestTrainMatchesAllocatingPath(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	set := tinyTrainSet(48, 31)
-	for _, workers := range []int{1, 3} {
-		tensor.SetWorkers(workers)
-		opt := TrainOptions{
-			Epochs: 3, BatchSize: 8,
-			Encoder:  encoding.Rate{},
-			Seed:     7,
-			ClipNorm: 1.0,
-		}
-		ref := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
-		arena := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
-
-		disableTrainArena = true
-		refOpt := opt
-		refOpt.Optimizer = NewAdam(2e-3)
-		Train(ref, set, refOpt)
-		disableTrainArena = false
-
-		arenaOpt := opt
-		arenaOpt.Optimizer = NewAdam(2e-3)
-		Train(arena, set, arenaOpt)
-
-		mustMatchTensors(t, "trained weights", ref.Params(), arena.Params())
-	}
-}
-
-// TestTrainFramesMatchesAllocatingPath is the DVS-path variant of the
-// epoch-level equivalence, covering dropout and the pool-bottomed
-// topology whose input gradients the arena elides.
-func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	r := rng.New(41)
-	samples := make([][]*tensor.Tensor, 20)
-	labels := make([]int, len(samples))
-	for i := range samples {
-		samples[i] = spikeFrames(r, 6, []int{2, 16, 16})
-		labels[i] = i % 11
-	}
-	build := func() *Network {
-		return DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(5), rng.New(77))
-	}
-	opt := TrainOptions{Epochs: 2, BatchSize: 4, Seed: 9}
-
-	ref := build()
-	disableTrainArena = true
-	refOpt := opt
-	refOpt.Optimizer = NewSGD(0.05, 0.9)
-	TrainFrames(ref, samples, labels, refOpt)
-	disableTrainArena = false
-
-	arena := build()
-	arenaOpt := opt
-	arenaOpt.Optimizer = NewSGD(0.05, 0.9)
-	TrainFrames(arena, samples, labels, arenaOpt)
-
-	mustMatchTensors(t, "trained weights", ref.Params(), arena.Params())
 }
 
 // TestInputGradSumScratchMatchesAllocating pins the attack-crafting
-// quantity — the summed per-step input gradients — to the allocating
-// InputGradientBatch + SumFrameGradients chain, at 1..N workers.
+// quantity — the per-step input gradients summed inside the arena — to
+// the allocating InputGradientBatch + SumFrameGradients chain, at 1..N
+// workers.
 func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 3} {
@@ -173,8 +108,8 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 			want := encoding.SumFrameGradients(InputGradientBatch(net, frames, labels))
 
 			clone := net.CloneArchitecture()
-			ts := clone.AcquireTrainScratch()
-			got := clone.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+			ts := clone.AcquireScratch()
+			got := clone.InputGradSumScratch(samples, labels, ts)
 			if !tensor.SameShape(want, got) {
 				t.Fatalf("%s w%d: shape %v vs %v", tc.name, workers, got.Shape, want.Shape)
 			}
@@ -184,7 +119,7 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 						tc.name, workers, i, got.Data[i], want.Data[i])
 				}
 			}
-			clone.ReleaseTrain(ts)
+			clone.Release(ts)
 		}
 	}
 }
@@ -193,14 +128,14 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 // after warm-up, the whole steady-state minibatch cycle — zeroing,
 // frame stacking, training forward, loss, BPTT, clipping, optimizer
 // step — allocates nothing in the deterministic serial mode (parallel
-// dispatch allocates per-kernel job descriptors, as with the inference
-// arena).
+// dispatch allocates per-kernel job descriptors).
 func TestTrainStepScratchZeroAllocs(t *testing.T) {
 	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
 	for _, tc := range trainCases() {
 		net := tc.build()
-		ts := net.AcquireTrainScratch()
+		ts := net.AcquireScratch()
+		params, grads := net.Params(), net.Grads()
 		r := rng.New(61)
 		samples := make([][]*tensor.Tensor, 4)
 		labels := make([]int, len(samples))
@@ -210,17 +145,17 @@ func TestTrainStepScratchZeroAllocs(t *testing.T) {
 		}
 		opt := NewAdam(2e-3)
 		cycle := func() {
-			ts.ZeroGrads()
+			net.ZeroGrads()
 			net.TrainStepScratch(samples, labels, ts)
-			clipGradients(ts.Grads(), 1.0)
-			opt.Step(ts.Params(), ts.Grads(), 0.25)
+			clipGradients(grads, 1.0)
+			opt.Step(params, grads, 0.25)
 		}
 		cycle() // warm the arena and the optimizer state
 		cycle()
 		if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
 			t.Errorf("%s: train step allocates %.1f objects/op in steady state, want 0", tc.name, avg)
 		}
-		net.ReleaseTrain(ts)
+		net.Release(ts)
 	}
 }
 
@@ -231,7 +166,7 @@ func TestInputGradSumScratchZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tc := trainCases()[1]
 	net := tc.build().CloneArchitecture()
-	ts := net.AcquireTrainScratch()
+	ts := net.AcquireScratch()
 	r := rng.New(71)
 	samples := make([][]*tensor.Tensor, 3)
 	labels := make([]int, len(samples))
@@ -240,19 +175,19 @@ func TestInputGradSumScratchZeroAllocs(t *testing.T) {
 		labels[b] = b % tc.classes
 	}
 	pass := func() {
-		frames := ts.StackFramesInto(samples)
-		net.InputGradSumScratch(frames, labels, ts)
+		net.InputGradSumScratch(samples, labels, ts)
 	}
 	pass()
 	pass()
 	if avg := testing.AllocsPerRun(10, pass); avg != 0 {
 		t.Errorf("input-gradient pass allocates %.1f objects/op in steady state, want 0", avg)
 	}
-	net.ReleaseTrain(ts)
+	net.Release(ts)
 }
 
 // TestSoftmaxCrossEntropyBatchIntoMatches pins the Into loss to the
-// allocating form bit-for-bit, stale destination included.
+// per-row tensor.Softmax definition bit-for-bit, stale destination
+// included.
 func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 	r := rng.New(81)
 	logits := tensor.New(5, 7)
@@ -260,7 +195,13 @@ func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 		logits.Data[i] = r.NormFloat32() * 3
 	}
 	labels := []int{0, 6, 3, 3, 1}
-	wantLoss, wantGrad := SoftmaxCrossEntropyBatch(logits, labels)
+	wantLoss, wantGrad := 0.0, tensor.New(5, 7)
+	for b, label := range labels {
+		p := tensor.Softmax(tensor.FromSlice(logits.Data[b*7:(b+1)*7], 7))
+		wantLoss += -math.Log(math.Max(float64(p.Data[label]), 1e-12))
+		p.Data[label] -= 1
+		copy(wantGrad.Data[b*7:(b+1)*7], p.Data)
+	}
 	grad := tensor.New(5, 7)
 	for i := range grad.Data {
 		grad.Data[i] = 42 // stale contents must vanish
@@ -277,12 +218,13 @@ func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 }
 
 // TestTrainScratchPoolRecycles pins the acquire/release free-list
-// contract mirroring the inference arena's.
+// contract: an arena a training fit released is the next one handed
+// out.
 func TestTrainScratchPoolRecycles(t *testing.T) {
 	net := trainCases()[0].build()
-	ts := net.AcquireTrainScratch()
-	net.ReleaseTrain(ts)
-	if got := net.AcquireTrainScratch(); got != ts {
-		t.Fatal("released TrainScratch must be recycled by the next acquire")
+	ts := net.AcquireScratch()
+	net.Release(ts)
+	if got := net.AcquireScratch(); got != ts {
+		t.Fatal("released Scratch must be recycled by the next acquire")
 	}
 }

@@ -93,11 +93,11 @@ func TestStreamingIncrementalAQFMatchesWholeStream(t *testing.T) {
 	}
 }
 
-// TestStreamingIncrementalBeatsPerWindowGrace demonstrates the defect
-// the incremental mode fixes: with a window no longer than T2, the
-// per-window form filters nothing at all (every event falls in its
-// window's grace period), while the incremental form keeps filtering
-// after the recording's first T2 ms.
+// TestStreamingIncrementalBeatsPerWindowGrace demonstrates why the
+// pipeline filters across windows: with a window no longer than T2,
+// filtering each window as a standalone stream removes nothing at all
+// (every event falls in its window's grace period), while the
+// incremental form keeps filtering after the recording's first T2 ms.
 func TestStreamingIncrementalBeatsPerWindowGrace(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
@@ -126,8 +126,10 @@ func TestStreamingIncrementalBeatsPerWindowGrace(t *testing.T) {
 		}
 		return n
 	}
-	perWindow := kept(Options{WindowMS: 50, Steps: steps,
-		Filter: defense.AQFFilter{Params: p}})
+	perWindow := 0
+	for _, sub := range dvs.SplitWindows(s, 50) {
+		perWindow += len(defense.AQF(sub, p).Events)
+	}
 	incremental := kept(Options{WindowMS: 50, Steps: steps, AQF: &p})
 	if perWindow != len(s.Events) {
 		t.Fatalf("per-window AQF at window=T2 should pass all %d events (every window is grace period), kept %d",
@@ -161,16 +163,5 @@ func TestStreamingIncrementalPipelineReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameClasses(t, want, got, fmt.Sprintf("reuse seed=%d", seed))
-	}
-}
-
-// TestStreamingFilterModeExclusive pins the option validation.
-func TestStreamingFilterModeExclusive(t *testing.T) {
-	net := testNet(3)
-	p := defense.DefaultAQFParams(0.01)
-	_, err := NewPipeline(net, Options{WindowMS: 50, AQF: &p,
-		Filter: defense.AQFFilter{Params: p}})
-	if err == nil {
-		t.Fatal("AQF and Filter accepted together")
 	}
 }

@@ -380,18 +380,21 @@ func (s *Scheduler) tick() {
 		t0 = time.Now().UnixNano() //axsnn:allow-alloc observability clock read, once per tick, outside the reproducible kernels
 	}
 	err := s.classify(fill)
+	// Every statistic this tick changes is published before the first
+	// completion leaves: a reader synchronized on a delivered result (a
+	// test, a /metrics scrape after a client's done) must see it counted.
+	s.depthGauge.Store(int64(len(s.pending)))
 	if err != nil {
 		s.failBatch(err)
-	} else {
-		s.demux(fill)
-		s.ticks.Add(1)
-		s.windows.Add(int64(fill))
-		s.fillCounts[fill].Add(1)
-		if s.o.Observer != nil {
-			s.o.Observer.ObserveRound(fill, time.Now().UnixNano()-t0) //axsnn:allow-alloc observability clock read, once per tick, outside the reproducible kernels
-		}
+		return
 	}
-	s.depthGauge.Store(int64(len(s.pending)))
+	s.ticks.Add(1)
+	s.windows.Add(int64(fill))
+	s.fillCounts[fill].Add(1)
+	if s.o.Observer != nil {
+		s.o.Observer.ObserveRound(fill, time.Now().UnixNano()-t0) //axsnn:allow-alloc observability clock read, once per tick, outside the reproducible kernels
+	}
+	s.demux(fill)
 }
 
 // gather drains every currently queued submission into the pending

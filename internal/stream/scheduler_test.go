@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +208,61 @@ func TestSchedulerFairShare(t *testing.T) {
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after the backlog drained, want 0", st.QueueDepth)
+	}
+}
+
+// countingObserver tallies ObserveRound windows for the stats test.
+type countingObserver struct{ windows atomic.Int64 }
+
+func (o *countingObserver) ObserveRound(windows int, _ int64) { o.windows.Add(int64(windows)) }
+
+// TestSchedulerStatsBeforeCompletion pins the publication order of the
+// scheduler's statistics: every counter a tick changes — ticks,
+// windows, the fill histogram, the queue-depth gauge and the observer's
+// round — is published before the tick's completions reach producers,
+// so a reader synchronized on a delivered result (a test, a /metrics
+// scrape after a client's done) never sees it uncounted.
+func TestSchedulerStatsBeforeCompletion(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(1)
+	steps := 3
+	net := testNet(steps)
+	windows, ref := schedTestWindows(t, net, steps, 6)
+	obs := &countingObserver{}
+	sched, err := NewScheduler(SchedulerOptions{
+		Steps: steps, MaxBatch: 4, Clones: newTestClones(net, 1), Observer: obs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	p := sched.NewProducer(1)
+	for k, win := range windows {
+		submitWindow(t, p, 0, win)
+		if err := p.await(1); err != nil {
+			t.Fatal(err)
+		}
+		if p.out[0] != ref[k] {
+			t.Fatalf("window %d class %d, want %d", k, p.out[0], ref[k])
+		}
+		st := sched.Stats()
+		done := int64(k + 1)
+		var filled int64
+		for fill, n := range st.Fill {
+			filled += int64(fill) * n
+		}
+		switch {
+		case st.Windows != done:
+			t.Fatalf("after %d completions Stats().Windows = %d", done, st.Windows)
+		case st.Ticks != done:
+			t.Fatalf("after %d single-window rounds Stats().Ticks = %d", done, st.Ticks)
+		case filled != done:
+			t.Fatalf("after %d completions the fill histogram counts %d windows", done, filled)
+		case st.QueueDepth != 0:
+			t.Fatalf("after completion %d Stats().QueueDepth = %d, want 0", done, st.QueueDepth)
+		case obs.windows.Load() != done:
+			t.Fatalf("after %d completions the observer saw %d windows", done, obs.windows.Load())
+		}
 	}
 }
 

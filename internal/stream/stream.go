@@ -1,10 +1,9 @@
 // Package stream is the bounded-memory event-serving pipeline: it
 // decodes an AEDAT recording chunk by chunk (dvs.StreamReader),
-// optionally denoises the flow (cross-window defense.IncrementalAQF by
-// default, or the lossy per-window defense.Filter form), slices the
-// event flow into fixed-duration windows (dvs.Windower), voxelizes
-// windows into recycled frame tensors (dvs.VoxelizeWindowInto) and
-// classifies them through the batched inference arena
+// optionally denoises the flow (cross-window defense.IncrementalAQF),
+// slices the event flow into fixed-duration windows (dvs.Windower),
+// voxelizes windows into recycled frame tensors (dvs.VoxelizeWindowInto)
+// and classifies them through the batched inference arena
 // (snn.PredictBatchInto), fanning window batches out over the shared
 // tensor worker pool — with clones either owned per pipeline or drawn
 // from a shared bounded CloneSource (internal/serve's session pool).
@@ -22,8 +21,8 @@
 //     live in a SlotPool that concurrent pipelines can share, so a
 //     serving tier's frame memory scales with the pool, not with the
 //     session count.
-//   - Steady state performs 0 tensor allocations per window (without a
-//     Filter): slots, frames, clones and arenas are recycled; only the
+//   - Steady state performs 0 tensor allocations per window (without
+//     AQF): slots, frames, clones and arenas are recycled; only the
 //     per-recording setup (reader, windower) allocates.
 //
 // Predictions are bit-identical to the in-memory reference — splitting
@@ -69,21 +68,14 @@ type Options struct {
 	// disorder is an error. 0 requires sorted input.
 	ReorderWindow int
 	// AQF, when non-nil, denoises the flow through the cross-window
-	// defense.IncrementalAQF — the default AQF mode: correlation state
-	// and hot-pixel runs carry across window boundaries and the
-	// per-window predictions match classifying dvs.SplitWindows over
-	// the whole-stream defense.AQF output. The filter runs ahead of the
-	// windower, so windows see quantized timestamps, exactly as the
-	// in-memory reference does. Mutually exclusive with Filter.
-	// Filtering allocates — the zero-alloc contract covers the
-	// unfiltered path.
+	// defense.IncrementalAQF: correlation state and hot-pixel runs
+	// carry across window boundaries and the per-window predictions
+	// match classifying dvs.SplitWindows over the whole-stream
+	// defense.AQF output. The filter runs ahead of the windower, so
+	// windows see quantized timestamps, exactly as the in-memory
+	// reference does. Filtering allocates — the zero-alloc contract
+	// covers the unfiltered path.
 	AQF *defense.AQFParams
-	// Filter, when non-nil, denoises every window in isolation before
-	// voxelization — the lossy per-window form kept for workloads that
-	// want strict window isolation; see the defense.Filter godoc for
-	// the boundary semantics it trades away. Mutually exclusive with
-	// AQF.
-	Filter defense.Filter
 	// Clones, when non-nil, supplies the evaluation networks classify
 	// runs on instead of the pipeline growing its own Workers clones —
 	// the serving form: many concurrent pipelines share one bounded
@@ -198,9 +190,6 @@ func (o Options) withDefaults(net *snn.Network) (Options, error) {
 	if o.WindowMS <= 0 {
 		return o, fmt.Errorf("stream: WindowMS must be positive, got %v", o.WindowMS)
 	}
-	if o.AQF != nil && o.Filter != nil {
-		return o, fmt.Errorf("stream: AQF and Filter are mutually exclusive filter modes")
-	}
 	if (o.SensorW == 0) != (o.SensorH == 0) || o.SensorW < 0 || o.SensorH < 0 {
 		return o, fmt.Errorf("stream: SensorW/SensorH must be set together, got %dx%d", o.SensorW, o.SensorH)
 	}
@@ -272,11 +261,10 @@ type Result struct {
 // uploader), while the far heavier frame memory is borrowed for the
 // classification instant and shared across sessions.
 type slot struct {
-	index   int
-	start   float64
-	events  []dvs.Event
-	rebased []dvs.Event // filter scratch: window-rebased timestamps
-	kept    int         // events voxelized (post-filter)
+	index  int
+	start  float64
+	events []dvs.Event
+	kept   int // events voxelized
 }
 
 // Pipeline is a reusable streaming classifier: construct once per
@@ -589,30 +577,15 @@ func splitSOPs(total float64, insums, sops []float64) {
 	}
 }
 
-// stageWindow filters one staged window and voxelizes it into frames —
-// the per-window half both classification paths share (private
+// stageWindow voxelizes one staged window into frames — the
+// per-window half both classification paths share (private
 // classifyBatch and the producer-mode submission loop), so the two are
 // input-identical by construction.
 //
 //axsnn:hotpath
 func (p *Pipeline) stageWindow(s *slot, frames []*tensor.Tensor) {
-	h, w := p.runH, p.runW
-	events, start := s.events, s.start
-	if p.o.Filter != nil {
-		// Rebase the window to t=0 so the filter sees the same
-		// standalone stream the in-memory reference builds with
-		// SplitWindows.
-		s.rebased = s.rebased[:0]
-		for _, e := range events {
-			e.T -= start
-			s.rebased = append(s.rebased, e) //axsnn:allow-alloc grows to the window's event count, then reuses the backing array
-		}
-		view := &dvs.Stream{W: w, H: h, Duration: p.o.WindowMS, Events: s.rebased} //axsnn:allow-alloc documented Filter cost: one stream header per filtered window
-		filtered := p.o.Filter.Filter(view)
-		events, start = filtered.Events, 0
-	}
-	dvs.VoxelizeWindowInto(frames, events, w, h, start, p.o.WindowMS)
-	s.kept = len(events)
+	dvs.VoxelizeWindowInto(frames, s.events, p.runW, p.runH, s.start, p.o.WindowMS)
+	s.kept = len(s.events)
 }
 
 // flush classifies slots[:ready] — filter, voxelize, predict — fanning

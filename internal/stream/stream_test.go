@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/defense"
 	"repro/internal/dvs"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -43,13 +42,10 @@ func encode(t *testing.T, s *dvs.Stream) []byte {
 // batched prediction. SplitWindows is implemented independently of the
 // streaming Windower, so agreement pins two implementations against
 // each other.
-func referenceClasses(net *snn.Network, s *dvs.Stream, windowMS float64, steps int, f defense.Filter) []int {
+func referenceClasses(net *snn.Network, s *dvs.Stream, windowMS float64, steps int) []int {
 	subs := dvs.SplitWindows(s, windowMS)
 	samples := make([][]*tensor.Tensor, len(subs))
 	for i, sub := range subs {
-		if f != nil {
-			sub = f.Filter(sub)
-		}
 		samples[i] = sub.Voxelize(steps)
 	}
 	return net.PredictBatch(samples)
@@ -106,7 +102,7 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 
 	for _, windowMS := range []float64{400, 100, 77, 13.5} {
 		tensor.SetWorkers(1)
-		want := referenceClasses(net, loaded, windowMS, steps, nil)
+		want := referenceClasses(net, loaded, windowMS, steps)
 		if len(want) != dvs.NumWindows(400, windowMS) {
 			t.Fatalf("reference emitted %d windows, want %d", len(want), dvs.NumWindows(400, windowMS))
 		}
@@ -163,7 +159,7 @@ func TestStreamingEmptyWindows(t *testing.T) {
 	s.Sort()
 	data := encode(t, s)
 	tensor.SetWorkers(1)
-	want := referenceClasses(net, s, 25, steps, nil)
+	want := referenceClasses(net, s, 25, steps)
 	for _, workers := range []int{1, 3} {
 		tensor.SetWorkers(workers)
 		got := streamClasses(t, net, data, Options{WindowMS: 25, Steps: steps, Workers: workers, ChunkEvents: 8})
@@ -171,38 +167,6 @@ func TestStreamingEmptyWindows(t *testing.T) {
 			t.Fatalf("%d workers: %d windows, want 8", workers, len(got))
 		}
 		assertSameClasses(t, want, got, "empty windows")
-	}
-}
-
-// TestStreamingWithFilterMatchesReference runs the pipeline with
-// per-window AQF and BAF denoising and pins it to the in-memory
-// reference (SplitWindows → Filter → Voxelize → PredictBatch).
-func TestStreamingWithFilterMatchesReference(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	steps := 5
-	net := testNet(steps)
-	s := testStream(2, 300, 31)
-	// Pollute with isolated noise so the filters have work to do.
-	r := rng.New(99)
-	for k := 0; k < 60; k++ {
-		s.Events = append(s.Events, dvs.Event{X: r.Intn(16), Y: r.Intn(16), P: 1, T: r.Float64() * 300})
-	}
-	s.Sort()
-	data := encode(t, s)
-
-	for name, f := range map[string]defense.Filter{
-		"aqf": defense.AQFFilter{Params: defense.DefaultAQFParams(0.015)},
-		"baf": defense.NewBackgroundActivityFilter(),
-	} {
-		tensor.SetWorkers(1)
-		want := referenceClasses(net, s, 60, steps, f)
-		for _, workers := range []int{1, 4} {
-			tensor.SetWorkers(workers)
-			got := streamClasses(t, net, data, Options{
-				WindowMS: 60, Steps: steps, Workers: workers, Batch: 2, Filter: f,
-			})
-			assertSameClasses(t, want, got, name)
-		}
 	}
 }
 
@@ -217,7 +181,7 @@ func TestStreamingUnsortedInput(t *testing.T) {
 	steps := 4
 	net := testNet(steps)
 	sorted := testStream(5, 200, 41)
-	want := referenceClasses(net, sorted, 50, steps, nil)
+	want := referenceClasses(net, sorted, 50, steps)
 
 	// Perturb the order with bounded displacement: swap events up to 6
 	// positions apart, deterministically.
@@ -268,7 +232,7 @@ func TestPipelineReuse(t *testing.T) {
 	for _, seed := range []uint64{61, 62} {
 		s := testStream(int(seed%11), 250, seed)
 		tensor.SetWorkers(1)
-		want := referenceClasses(net, s, 60, steps, nil)
+		want := referenceClasses(net, s, 60, steps)
 		tensor.SetWorkers(2)
 		var got []int
 		if err := p.Run(bytes.NewReader(encode(t, s)), func(r Result) error {
